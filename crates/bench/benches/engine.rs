@@ -1,13 +1,14 @@
-//! Engine throughput: the arena-backed executor's hot round loop, measured
-//! through the batched interface, the legacy `Protocol` adapter, and the
-//! chunked parallel path.
+//! Executor throughput: the arena-backed executor's hot round loop, measured
+//! sequentially and on the chunked parallel path.
 //!
 //! Besides timing, this bench *verifies* the executor's headline invariant
 //! with a counting global allocator: after setup, the sequential round loop
 //! performs **zero heap allocations** — the allocation count of a run is
-//! independent of how many rounds it executes. A regression that sneaks a
-//! per-round `Vec` back into the hot path fails this bench before it shows
-//! up in any timing.
+//! independent of how many rounds it executes. The executor has one round
+//! loop, generic over its delivery step, so the check covers both of its
+//! instantiations: the fault-free run and a run under a pass-through
+//! `FaultPlan`. A regression that sneaks a per-round `Vec` back into the hot
+//! path fails this bench before it shows up in any timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use locality_graph::prelude::*;
@@ -51,92 +52,50 @@ impl BatchProtocol for Pulse {
     }
 }
 
-/// The same protocol through the legacy `Outbox`/inbox interface.
-#[derive(Debug, Clone)]
-struct LegacyPulse {
-    deadline: u32,
-    acc: u32,
-}
-
-impl Protocol for LegacyPulse {
-    type Message = u32;
-    type Output = u32;
-
-    fn start(&mut self, ctx: &NodeContext) -> Outbox<u32> {
-        Outbox::broadcast(ctx.node as u32)
-    }
-
-    fn round(&mut self, ctx: &NodeContext, round: u32, inbox: &[(usize, u32)]) -> Step<u32, u32> {
-        for &(_, m) in inbox {
-            self.acc = self.acc.wrapping_add(m).rotate_left(1);
-        }
-        if round >= self.deadline {
-            return Step::Halt(self.acc);
-        }
-        Step::Continue(Outbox::broadcast(self.acc ^ ctx.node as u32))
-    }
+fn pulses(g: &Graph, rounds: u32) -> impl Iterator<Item = Pulse> {
+    (0..g.node_count()).map(move |_| Pulse {
+        deadline: rounds,
+        acc: 0,
+    })
 }
 
 fn run_pulse(g: &Graph, ids: &IdAssignment, rounds: u32) -> Run<u32> {
     Executor::local(g, ids)
-        .run(
-            (0..g.node_count()).map(|_| Pulse {
-                deadline: rounds,
-                acc: 0,
-            }),
-            rounds + 1,
-        )
+        .run(pulses(g, rounds), rounds + 1)
         .expect("pulse halts at its deadline")
 }
 
-fn run_legacy_pulse(g: &Graph, ids: &IdAssignment, rounds: u32) -> Run<u32> {
-    Engine::local(g, ids)
-        .run(
-            (0..g.node_count()).map(|_| LegacyPulse {
-                deadline: rounds,
-                acc: 0,
-            }),
-            rounds + 1,
-        )
+fn run_pulse_pass_through(g: &Graph, ids: &IdAssignment, rounds: u32) -> FaultRun<u32> {
+    Executor::local(g, ids)
+        .run_with_faults(pulses(g, rounds), rounds + 1, &FaultPlan::new(7))
         .expect("pulse halts at its deadline")
 }
 
 /// The acceptance check: allocation count is a function of the graph, not of
-/// the round count — i.e. the round loop allocates nothing after setup.
+/// the round count — i.e. the round loop allocates nothing after setup, in
+/// both of its instantiations.
 fn assert_round_loop_allocation_free() {
     let g = Graph::grid(40, 40);
     let ids = IdAssignment::sequential(g.node_count());
-
-    // Warm up (lazy runtime one-time allocations must not skew the counts).
-    run_pulse(&g, &ids, 4);
-    run_legacy_pulse(&g, &ids, 4);
-
-    let short = allocations_during(|| {
-        run_pulse(&g, &ids, 8);
-    });
-    let long = allocations_during(|| {
-        run_pulse(&g, &ids, 256);
-    });
-    assert_eq!(
-        short, long,
-        "arena executor round loop allocated: {short} allocs for 8 rounds \
-         vs {long} for 256 — the difference is per-round allocation"
-    );
-
-    // The legacy adapter's scratch buffers reach capacity during the first
-    // delivered round; after that its steady-state loop is allocation-free
-    // too.
-    let short = allocations_during(|| {
-        run_legacy_pulse(&g, &ids, 8);
-    });
-    let long = allocations_during(|| {
-        run_legacy_pulse(&g, &ids, 256);
-    });
-    assert_eq!(
-        short, long,
-        "legacy engine adapter allocated per round: {short} allocs for 8 rounds vs {long} for 256"
-    );
-    println!("zero-alloc invariant holds: {short} setup allocations regardless of round count");
+    let fault_free = |rounds| drop(run_pulse(&g, &ids, rounds));
+    let pass_through = |rounds| drop(run_pulse_pass_through(&g, &ids, rounds));
+    let loops: [(&str, &dyn Fn(u32)); 2] = [
+        ("fault-free", &fault_free),
+        ("pass-through fault plan", &pass_through),
+    ];
+    for (name, run) in loops {
+        run(4); // warm up: lazy one-time runtime allocations must not skew the counts
+        let short = allocations_during(|| run(8));
+        let long = allocations_during(|| run(256));
+        assert_eq!(
+            short, long,
+            "{name} round loop allocated: {short} allocs for 8 rounds \
+             vs {long} for 256 — the difference is per-round allocation"
+        );
+        println!(
+            "zero-alloc invariant holds ({name}): {short} setup allocations regardless of round count"
+        );
+    }
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -152,20 +111,10 @@ fn bench_engine(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("arena-seq", n), &g, |b, g| {
             b.iter(|| run_pulse(g, &ids, rounds));
         });
-        group.bench_with_input(BenchmarkId::new("legacy-adapter", n), &g, |b, g| {
-            b.iter(|| run_legacy_pulse(g, &ids, rounds));
-        });
         group.bench_with_input(BenchmarkId::new("arena-par4", n), &g, |b, g| {
             b.iter(|| {
                 Executor::local(g, &ids)
-                    .run_parallel(
-                        (0..g.node_count()).map(|_| Pulse {
-                            deadline: rounds,
-                            acc: 0,
-                        }),
-                        rounds + 1,
-                        4,
-                    )
+                    .run_parallel(pulses(g, rounds), rounds + 1, 4)
                     .expect("pulse halts at its deadline")
             });
         });

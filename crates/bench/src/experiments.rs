@@ -2162,7 +2162,7 @@ pub struct HttpRow {
     pub solve_p50_us: f64,
     /// 99th percentile, same convention.
     pub solve_p99_us: f64,
-    /// Protocol-level failures counted by the front-end (must stay 0).
+    /// HTTP-level failures counted by the front-end (must stay 0).
     pub http_errors: u64,
     /// Session-layer cache hits (must be > 0 once warm).
     pub response_hits: u64,

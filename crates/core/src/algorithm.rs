@@ -2,13 +2,13 @@
 //! per-node labeling + [`RoundStats`] out.
 //!
 //! Historically each algorithm in this crate reported costs its own way —
-//! some ran as genuine engine protocols (Elkin–Neiman), others were
+//! some ran as genuine protocols (Elkin–Neiman), others were
 //! centralized reference implementations that charged rounds analytically
 //! (Luby MIS, trial coloring), so round counts, message counts and random
 //! bits were not comparable across algorithms. Implementations of
 //! [`LocalAlgorithm`] run as protocols on the
 //! [`locality_sim::executor::Executor`], so every algorithm is metered by
-//! the *same* engine code: rounds are engine rounds, messages are occupied
+//! the *same* executor code: rounds are executor rounds, messages are occupied
 //! directed-edge slots, CONGEST violations are counted per directed message,
 //! and random bits are whatever the per-node sources actually drew.
 //!
@@ -30,13 +30,12 @@ use locality_graph::ids::IdAssignment;
 use locality_graph::Graph;
 use locality_rand::prng::{Prng, SplitMix64};
 use locality_sim::cost::CostMeter;
-use locality_sim::engine::Mode;
-use locality_sim::executor::{BatchProtocol, Executor};
+use locality_sim::executor::{BatchProtocol, Executor, Mode};
 use std::fmt;
 
 /// Uniform cost accounting for one [`LocalAlgorithm`] execution.
 ///
-/// `#[non_exhaustive]`: future engines may add cost dimensions; construct
+/// `#[non_exhaustive]`: future runtimes may add cost dimensions; construct
 /// through the ports, match with a `..` rest pattern.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +46,7 @@ pub struct RoundStats {
     pub n: usize,
     /// Communication regime the run was metered under.
     pub mode: Mode,
-    /// Engine-metered costs: rounds, messages, bits, max message size,
+    /// Executor-metered costs: rounds, messages, bits, max message size,
     /// CONGEST violations (per directed message) and random bits drawn.
     pub meter: CostMeter,
 }
@@ -72,7 +71,7 @@ pub struct AlgorithmRun<L> {
 /// uniform [`RoundStats`] out.
 ///
 /// Implementations execute as message-passing protocols on the simulation
-/// engine (or compose such executions), so their costs are measured, not
+/// executor (or compose such executions), so their costs are measured, not
 /// asserted. Runs are deterministic functions of `(g, ids, seed)`.
 pub trait LocalAlgorithm {
     /// The per-node output label.
@@ -100,7 +99,7 @@ pub fn node_seed(seed: u64, id: u64) -> u64 {
 /// The shared wrapper shape of the protocol-backed [`LocalAlgorithm`] ports:
 /// run `protocols` on a standard-budget CONGEST [`Executor`] and assemble
 /// the uniform [`AlgorithmRun`]. `max_rounds == 0` selects a generous
-/// w.h.p.-safe default of `64·(⌈log2 n⌉ + 1)` engine rounds; `threads`
+/// w.h.p.-safe default of `64·(⌈log2 n⌉ + 1)` executor rounds; `threads`
 /// chunks node steps (`1` = sequential — any value is bit-identical).
 ///
 /// # Panics
@@ -167,7 +166,7 @@ mod tests {
     }
 
     /// The acceptance shape: MIS, coloring and a decomposition all running
-    /// through the same trait with engine-metered stats.
+    /// through the same trait with executor-metered stats.
     #[test]
     fn three_algorithms_through_one_interface() {
         let g = Graph::grid(6, 6);

@@ -425,7 +425,7 @@ pub struct TrialColoring {
     /// Worker threads for node steps (`1` = sequential; `0` = all cores).
     /// Any value produces bit-identical results.
     pub threads: usize,
-    /// Engine round cap (`0` = a generous `w.h.p.`-safe default).
+    /// Executor round cap (`0` = a generous `w.h.p.`-safe default).
     pub max_rounds: u32,
 }
 

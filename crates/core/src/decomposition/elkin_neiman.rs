@@ -14,7 +14,7 @@
 //! `O(log n)` phases suffice w.h.p.
 //!
 //! The per-phase computation is executed as a genuine CONGEST
-//! message-passing protocol on the [`locality_sim`] engine: nodes gossip
+//! message-passing protocol on the [`locality_sim`] executor: nodes gossip
 //! their current top-two `(center, value)` pairs, values decaying by one per
 //! hop; `O(cap)` rounds stabilize. Messages carry two compact
 //! `(id, value)` pairs — `O(log n)` bits.
@@ -28,8 +28,8 @@ use locality_rand::kwise::{flat_index, KWiseBits};
 use locality_rand::source::BitSource;
 use locality_rand::source::PrngSource;
 use locality_sim::cost::CostMeter;
-use locality_sim::engine::Engine;
-use locality_sim::node::{NodeContext, Outbox, Protocol, Step};
+use locality_sim::executor::{BatchProtocol, Control, Executor, Inbox, Mode, Outlet};
+use locality_sim::node::NodeContext;
 use locality_sim::wire::WireSize;
 
 /// Tuning parameters for the construction.
@@ -67,48 +67,72 @@ impl ElkinNeimanConfig {
 /// A `(center id, value)` ranking entry.
 type Entry = (u64, i64);
 
+/// The best two entries for *distinct* centers, ordered by (value desc,
+/// id asc) — fixed-size, so a gossip message owns no heap memory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TopTwo {
+    entries: [Entry; 2],
+    len: u8,
+}
+
+impl TopTwo {
+    fn as_slice(&self) -> &[Entry] {
+        &self.entries[..self.len as usize]
+    }
+}
+
+/// Whether `a` ranks strictly before `b`: higher value first, ties broken
+/// by the smaller center id.
+fn ranks_before(a: Entry, b: Entry) -> bool {
+    a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
+}
+
+/// Merge `cand` into the best two entries. Returns whether the candidate
+/// was taken up — a new center or a better value for a known one — even
+/// when, as a third center, it ranks below both kept entries.
+fn merge_entry(top: &mut TopTwo, cand: Entry) -> bool {
+    if cand.1 < 0 {
+        return false;
+    }
+    let len = top.len as usize;
+    if let Some(existing) = top.entries[..len].iter_mut().find(|e| e.0 == cand.0) {
+        if existing.1 >= cand.1 {
+            return false;
+        }
+        existing.1 = cand.1;
+    } else if len < 2 {
+        top.entries[len] = cand;
+        top.len += 1;
+    } else if ranks_before(cand, top.entries[1]) {
+        top.entries[1] = cand;
+    }
+    if top.len == 2 && ranks_before(top.entries[1], top.entries[0]) {
+        top.entries.swap(0, 1);
+    }
+    true
+}
+
 /// Gossip message: current top-two entries, with compact wire accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EnMessage {
-    entries: Vec<Entry>,
+    top: TopTwo,
     id_bits: u16,
     val_bits: u16,
 }
 
 impl WireSize for EnMessage {
     fn wire_bits(&self) -> u64 {
-        2 + self.entries.len() as u64 * (self.id_bits as u64 + self.val_bits as u64)
+        2 + u64::from(self.top.len) * (self.id_bits as u64 + self.val_bits as u64)
     }
-}
-
-/// Keep the best two entries for *distinct* centers, ordered by
-/// (value desc, id asc). Returns whether anything changed.
-fn merge_entry(top: &mut Vec<Entry>, cand: Entry) -> bool {
-    if cand.1 < 0 {
-        return false;
-    }
-    if let Some(existing) = top.iter_mut().find(|e| e.0 == cand.0) {
-        if existing.1 >= cand.1 {
-            return false;
-        }
-        existing.1 = cand.1;
-    } else {
-        top.push(cand);
-    }
-    top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    if top.len() > 2 {
-        top.truncate(2);
-    }
-    true
 }
 
 /// Per-node protocol for one EN phase.
+#[derive(Debug)]
 struct EnPhase {
     alive: bool,
     radius: u32,
-    top: Vec<Entry>,
+    top: TopTwo,
     deadline: u32,
-    changed: bool,
     id_bits: u16,
     val_bits: u16,
 }
@@ -116,15 +140,16 @@ struct EnPhase {
 impl EnPhase {
     fn message(&self) -> EnMessage {
         EnMessage {
-            entries: self.top.clone(),
+            top: self.top,
             id_bits: self.id_bits,
             val_bits: self.val_bits,
         }
     }
 
     fn decide(&self) -> Option<u64> {
-        let m1 = self.top.first()?;
-        let m2 = self.top.get(1).map_or(0, |e| e.1.max(0));
+        let top = self.top.as_slice();
+        let m1 = top.first()?;
+        let m2 = top.get(1).map_or(0, |e| e.1.max(0));
         if m1.1 - m2 > 1 {
             Some(m1.0)
         } else {
@@ -133,44 +158,41 @@ impl EnPhase {
     }
 }
 
-impl Protocol for EnPhase {
+impl BatchProtocol for EnPhase {
     type Message = EnMessage;
     type Output = Option<u64>;
 
-    fn start(&mut self, ctx: &NodeContext) -> Outbox<EnMessage> {
-        if !self.alive {
-            return Outbox::silent();
+    fn start(&mut self, ctx: &NodeContext, out: &mut Outlet<'_, EnMessage>) {
+        if self.alive {
+            merge_entry(&mut self.top, (ctx.id, self.radius as i64));
+            out.broadcast(self.message());
         }
-        merge_entry(&mut self.top, (ctx.id, self.radius as i64));
-        Outbox::broadcast(self.message())
     }
 
     fn round(
         &mut self,
         _ctx: &NodeContext,
         round: u32,
-        inbox: &[(usize, EnMessage)],
-    ) -> Step<EnMessage, Option<u64>> {
+        inbox: &Inbox<'_, EnMessage>,
+        out: &mut Outlet<'_, EnMessage>,
+    ) -> Control<Option<u64>> {
         if !self.alive {
-            return Step::Halt(None);
+            return Control::Halt(None);
         }
-        self.changed = false;
-        for (_, msg) in inbox {
-            for &(center, value) in &msg.entries {
+        let mut changed = false;
+        for (_, msg) in inbox.iter() {
+            for &(center, value) in msg.top.as_slice() {
                 // One hop of decay.
-                if merge_entry(&mut self.top, (center, value - 1)) {
-                    self.changed = true;
-                }
+                changed |= merge_entry(&mut self.top, (center, value - 1));
             }
         }
         if round >= self.deadline {
-            return Step::Halt(self.decide());
+            return Control::Halt(self.decide());
         }
-        if self.changed {
-            Step::Continue(Outbox::broadcast(self.message()))
-        } else {
-            Step::Continue(Outbox::silent())
+        if changed {
+            out.broadcast(self.message());
         }
+        Control::Continue
     }
 }
 
@@ -249,17 +271,15 @@ pub fn elkin_neiman_with_sampler(
                 EnPhase {
                     alive: alive[v],
                     radius,
-                    top: Vec::new(),
+                    top: TopTwo::default(),
                     deadline: cfg.rounds_per_phase(),
-                    changed: false,
                     id_bits,
                     val_bits,
                 }
             })
             .collect();
 
-        let mut engine = Engine::congest(g, ids);
-        let run = engine
+        let run = Executor::congest(g, ids)
             .run(protocols, cfg.rounds_per_phase() + 1)
             .expect("phase protocol halts by its deadline"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
         meter += run.meter;
@@ -350,7 +370,7 @@ pub fn elkin_neiman_kwise(g: &Graph, cfg: &ElkinNeimanConfig, kw: &KWiseBits) ->
 
 /// The Elkin–Neiman decomposition through the unified [`LocalAlgorithm`]
 /// interface. The construction already executes phase by phase as a CONGEST
-/// protocol on the engine; this wrapper gives it the standard
+/// protocol on the executor; this wrapper gives it the standard
 /// graph-ids-seed signature and uniform [`RoundStats`]. A node's label is
 /// its `(phase, center id)` cluster, or `None` if it survived the phase
 /// budget (the `V̄` of Theorem 4.2).
@@ -377,9 +397,9 @@ impl LocalAlgorithm for ElkinNeimanDecomposition {
             stats: RoundStats {
                 algorithm: self.name(),
                 n: g.node_count(),
-                // The phases run on `Engine::congest`, which uses exactly
+                // The phases run on `Executor::congest`, which uses exactly
                 // this mode.
-                mode: locality_sim::engine::Mode::default_congest(g),
+                mode: Mode::default_congest(g),
                 meter: out.meter,
             },
         }
@@ -394,13 +414,24 @@ mod tests {
 
     #[test]
     fn merge_entry_keeps_best_two_distinct() {
-        let mut top = Vec::new();
+        let mut top = TopTwo::default();
         assert!(merge_entry(&mut top, (5, 3)));
         assert!(merge_entry(&mut top, (7, 5)));
+        assert_eq!(top.as_slice(), &[(7, 5), (5, 3)]);
         assert!(!merge_entry(&mut top, (5, 2))); // worse value, same center
         assert!(merge_entry(&mut top, (9, 4)));
-        assert_eq!(top, vec![(7, 5), (9, 4)]);
+        assert_eq!(top.as_slice(), &[(7, 5), (9, 4)]);
         assert!(!merge_entry(&mut top, (1, -1))); // negative values ignored
+
+        // A third center below both kept entries is taken up but not kept.
+        assert!(merge_entry(&mut top, (2, 1)));
+        assert_eq!(top.as_slice(), &[(7, 5), (9, 4)]);
+        // Equal values rank by the smaller center id.
+        assert!(merge_entry(&mut top, (8, 5)));
+        assert_eq!(top.as_slice(), &[(7, 5), (8, 5)]);
+        // Raising a kept center's value can reorder the pair.
+        assert!(merge_entry(&mut top, (8, 6)));
+        assert_eq!(top.as_slice(), &[(8, 6), (7, 5)]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ const ENDPOINT_NAMES: [&str; ENDPOINTS] = ["solve", "healthz"];
 pub struct MetricsShard {
     /// Connections accepted by this worker.
     pub connections: AtomicU64,
-    /// Protocol-level failures (malformed request line, oversized header,
+    /// HTTP-level failures (malformed request line, oversized header,
     /// unknown route, …) answered with an HTTP error status.
     pub http_errors: AtomicU64,
     /// Request bytes consumed from sockets.

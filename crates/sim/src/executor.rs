@@ -1,9 +1,5 @@
-//! The arena-backed batched round executor.
-//!
-//! The [`crate::engine::Engine`] interface materializes an `Outbox`/inbox
-//! `Vec` per node per round; fine for correctness work, but the per-round
-//! allocations and the strictly sequential node loop dominate at scale. This
-//! module is the hot path underneath it:
+//! The arena-backed batched round executor: the simulator's one round
+//! runtime.
 //!
 //! - **Message arenas.** Every directed edge `(u, port)` owns a fixed slot in
 //!   a flat arena laid out by the graph's CSR edge index
@@ -21,20 +17,109 @@
 //!   [`std::thread::scope`] threads and produces exactly the outputs and
 //!   [`CostMeter`] of [`Executor::run`]. The `determinism-checks` cargo
 //!   feature makes `run_parallel` re-run sequentially and assert equality.
+//! - **One round loop.** Fault-free and faulty runs share a single loop that
+//!   is generic over its delivery step: the fault-free step is the plain
+//!   meter-clear-flip pass, the faulty one routes every message through a
+//!   [`FaultPlan`] (see [`crate::faults`]).
 //!
-//! Protocols for this executor implement [`BatchProtocol`], writing messages
-//! through an [`Outlet`] and reading them through an [`Inbox`] view instead
-//! of building per-round collections. The legacy [`crate::node::Protocol`]
-//! trait is adapted onto this executor by [`crate::engine::Engine`], so both
-//! interfaces are metered by the same code.
+//! Protocols implement [`BatchProtocol`], writing messages through an
+//! [`Outlet`] and reading them through an [`Inbox`] view instead of building
+//! per-round collections.
 
 use crate::cost::CostMeter;
-use crate::engine::{EngineError, Mode, Run};
 use crate::faults::{Delivery, FaultPlan, FaultRun, NodeOutcome};
 use crate::node::NodeContext;
 use crate::wire::WireSize;
 use locality_graph::ids::IdAssignment;
 use locality_graph::Graph;
+use std::error::Error;
+use std::fmt;
+
+/// Communication regime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Unbounded messages.
+    Local,
+    /// Messages of at most `budget_bits` bits; larger messages are delivered
+    /// but counted as violations (so experiments can report them).
+    Congest {
+        /// Per-message bit budget (`O(log n)`).
+        budget_bits: u64,
+    },
+}
+
+impl Mode {
+    /// The standard CONGEST regime for `g`: `8·⌈log2 n⌉` bits per message
+    /// (the model allows any `O(log n)`; the constant is reported, not
+    /// hidden). This is the single definition [`Executor::congest`] and the
+    /// algorithm wrappers share.
+    pub fn default_congest(g: &Graph) -> Self {
+        Mode::Congest {
+            budget_bits: 8 * g.log2_n() as u64,
+        }
+    }
+}
+
+/// Error from an [`Executor`] run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// The number of protocol instances differed from the node count.
+    WrongNodeCount {
+        /// Instances supplied.
+        got: usize,
+        /// Nodes in the graph.
+        expected: usize,
+    },
+    /// Some node had not halted after the round limit.
+    RoundLimit {
+        /// The limit that was hit.
+        limit: u32,
+        /// How many nodes were still running.
+        still_running: usize,
+    },
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::WrongNodeCount { got, expected } => {
+                write!(f, "expected {expected} protocol instances, got {got}")
+            }
+            EngineError::RoundLimit {
+                limit,
+                still_running,
+            } => write!(
+                f,
+                "round limit {limit} reached with {still_running} nodes still running"
+            ),
+        }
+    }
+}
+
+impl Error for EngineError {}
+
+/// Result of a completed run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run<O> {
+    /// Per-node outputs, indexed by node.
+    pub outputs: Vec<O>,
+    /// Cost accounting for the whole execution.
+    pub meter: CostMeter,
+    /// The CONGEST per-message budget the run was metered against (`None`
+    /// in LOCAL mode) — kept on the result so violation counts are
+    /// interpretable without the executor at hand.
+    pub budget_bits: Option<u64>,
+}
+
+impl<O> Run<O> {
+    /// Whether the execution stayed within its CONGEST budget (vacuously
+    /// true in LOCAL mode). Violations themselves are counted per directed
+    /// message in [`CostMeter::congest_violations`]: an over-budget
+    /// broadcast from a degree-`d` node is `d` violations, not one.
+    pub fn congest_clean(&self) -> bool {
+        self.meter.congest_clean()
+    }
+}
 
 /// A node's decision after a batched round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,7 +174,7 @@ impl<'a, M> Inbox<'a, M> {
 ///
 /// The slots start empty each round; writing the same port twice keeps the
 /// last message (a later [`Outlet::send`] overrides an earlier
-/// [`Outlet::broadcast`] on that port, matching the engine's semantics).
+/// [`Outlet::broadcast`] on that port): one message per edge per round.
 #[derive(Debug)]
 pub struct Outlet<'a, M> {
     node: usize,
@@ -128,11 +213,15 @@ impl<M: Clone> Outlet<'_, M> {
     }
 }
 
-/// A synchronous protocol over the arena executor, one instance per node.
+/// A synchronous message-passing protocol, one instance per node.
 ///
-/// Like [`crate::node::Protocol`], but messages are exchanged through slot
-/// views instead of per-round collections, so a well-behaved implementation
-/// allocates nothing in its `round`.
+/// The executor calls [`BatchProtocol::start`] before round 1, then
+/// [`BatchProtocol::round`] once per round with the messages the node's
+/// neighbors wrote the round before. Ports are neighbor *indices*
+/// `0..degree` (a node does not a priori know its neighbors' ids — it learns
+/// them by communication). Messages are exchanged through slot views instead
+/// of per-round collections, so a well-behaved implementation allocates
+/// nothing in its `round`. The run ends when every node has halted.
 pub trait BatchProtocol {
     /// Message type (must report its wire size for CONGEST accounting).
     type Message: Clone + WireSize;
@@ -154,8 +243,7 @@ pub trait BatchProtocol {
 
 /// The arena-backed executor for one graph.
 ///
-/// Construction mirrors [`crate::engine::Engine`]; [`Executor::run`] is the
-/// sequential reference order and [`Executor::run_parallel`] the chunked
+/// [`Executor::run`] is the sequential reference order and [`Executor::run_parallel`] the chunked
 /// parallel order, which is guaranteed (and under the `determinism-checks`
 /// feature, asserted) to produce bit-identical results.
 ///
@@ -203,12 +291,7 @@ impl<'g> Executor<'g> {
     /// # Panics
     /// Panics if `ids` does not match `graph`.
     pub fn local(graph: &'g Graph, ids: &'g IdAssignment) -> Self {
-        assert!(ids.matches(graph), "id assignment must match graph");
-        Self {
-            graph,
-            ids,
-            mode: Mode::Local,
-        }
+        Self::new(graph, ids, Mode::Local)
     }
 
     /// A CONGEST-model executor with the standard budget
@@ -217,12 +300,7 @@ impl<'g> Executor<'g> {
     /// # Panics
     /// Panics if `ids` does not match `graph`.
     pub fn congest(graph: &'g Graph, ids: &'g IdAssignment) -> Self {
-        assert!(ids.matches(graph), "id assignment must match graph");
-        Self {
-            graph,
-            ids,
-            mode: Mode::default_congest(graph),
-        }
+        Self::new(graph, ids, Mode::default_congest(graph))
     }
 
     /// A CONGEST-model executor with an explicit per-message budget.
@@ -230,12 +308,12 @@ impl<'g> Executor<'g> {
     /// # Panics
     /// Panics if `ids` does not match `graph`.
     pub fn congest_with_budget(graph: &'g Graph, ids: &'g IdAssignment, budget_bits: u64) -> Self {
+        Self::new(graph, ids, Mode::Congest { budget_bits })
+    }
+
+    fn new(graph: &'g Graph, ids: &'g IdAssignment, mode: Mode) -> Self {
         assert!(ids.matches(graph), "id assignment must match graph");
-        Self {
-            graph,
-            ids,
-            mode: Mode::Congest { budget_bits },
-        }
+        Self { graph, ids, mode }
     }
 
     /// The communication mode.
@@ -278,27 +356,9 @@ impl<'g> Executor<'g> {
         max_rounds: u32,
         random_bits: impl Fn(&P) -> u64,
     ) -> Result<Run<P::Output>, EngineError> {
-        let nodes: Vec<P> = protocols.into_iter().collect();
-        let graph = self.graph;
-        self.drive(
-            nodes,
-            max_rounds,
-            &random_bits,
-            |nodes, outputs, write, read, contexts, round| {
-                step_chunk(
-                    graph,
-                    contexts,
-                    0,
-                    nodes,
-                    outputs,
-                    write,
-                    0,
-                    read,
-                    &[],
-                    round,
-                )
-            },
-        )
+        let nodes = protocols.into_iter().collect();
+        let (outputs, meter) = self.sequential(nodes, max_rounds, &mut Reliable, &random_bits)?;
+        Ok(self.completed(outputs, meter))
     }
 
     /// Execute `protocols` with node steps chunked across `threads` scoped
@@ -324,7 +384,7 @@ impl<'g> Executor<'g> {
     where
         P: BatchProtocol + Send + Clone,
         P::Message: Send + Sync,
-        P::Output: Send + PartialEq + std::fmt::Debug,
+        P::Output: Send + PartialEq + fmt::Debug,
     {
         self.run_parallel_metered(protocols, max_rounds, threads, |_| 0)
     }
@@ -344,188 +404,24 @@ impl<'g> Executor<'g> {
     where
         P: BatchProtocol + Send + Clone,
         P::Message: Send + Sync,
-        P::Output: Send + PartialEq + std::fmt::Debug,
+        P::Output: Send + PartialEq + fmt::Debug,
     {
         let nodes: Vec<P> = protocols.into_iter().collect();
         #[cfg(feature = "determinism-checks")]
-        {
-            let reference = self.run_metered(nodes.clone(), max_rounds, &random_bits);
-            let parallel = self.run_parallel_inner(nodes, max_rounds, threads, &random_bits);
-            match (&reference, &parallel) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.meter, b.meter,
-                        "determinism check: parallel meter diverged from sequential"
-                    );
-                    assert_eq!(
-                        a.outputs, b.outputs,
-                        "determinism check: parallel outputs diverged from sequential"
-                    );
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a, b, "determinism check: error outcomes diverged");
-                }
-                _ => panic!("determinism check: parallel and sequential outcomes diverged"), // audit: allow(panic) -- determinism diagnostic: divergence must abort loudly, not be smoothed over
-            }
-            parallel
-        }
-        #[cfg(not(feature = "determinism-checks"))]
-        {
-            self.run_parallel_inner(nodes, max_rounds, threads, &random_bits)
-        }
-    }
-
-    fn run_parallel_inner<P>(
-        &mut self,
-        nodes: Vec<P>,
-        max_rounds: u32,
-        threads: usize,
-        random_bits: &impl Fn(&P) -> u64,
-    ) -> Result<Run<P::Output>, EngineError>
-    where
-        P: BatchProtocol + Send,
-        P::Message: Send + Sync,
-        P::Output: Send,
-    {
-        let n = self.graph.node_count();
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
-        let chunks = threads.min(n.max(1));
-        if chunks <= 1 {
-            return self.run_metered(nodes, max_rounds, random_bits);
-        }
-        let bounds = chunk_bounds(n, chunks);
-        let graph = self.graph;
-        self.drive(
-            nodes,
-            max_rounds,
-            random_bits,
-            |nodes, outputs, write, read, contexts, round| {
-                parallel_step(
-                    graph,
-                    &bounds,
-                    contexts,
-                    nodes,
-                    outputs,
-                    write,
-                    read,
-                    &[],
-                    round,
-                )
-            },
-        )
-    }
-
-    /// The shared round loop: arena setup, the per-round
-    /// meter-clear-and-flip delivery pass, halt bookkeeping, and final
-    /// accounting. `step` runs all still-active nodes for one round and
-    /// returns how many are still running.
-    fn drive<P: BatchProtocol>(
-        &mut self,
-        mut nodes: Vec<P>,
-        max_rounds: u32,
-        random_bits: &impl Fn(&P) -> u64,
-        mut step: impl FnMut(
-            &mut [P],
-            &mut [Option<P::Output>],
-            &mut [Option<P::Message>],
-            &[Option<P::Message>],
-            &[NodeContext],
-            u32,
-        ) -> usize,
-    ) -> Result<Run<P::Output>, EngineError> {
-        let n = self.graph.node_count();
-        if nodes.len() != n {
-            return Err(EngineError::WrongNodeCount {
-                got: nodes.len(),
-                expected: n,
-            });
-        }
-        let contexts: Vec<NodeContext> = (0..n)
-            .map(|v| NodeContext {
-                node: v,
-                id: self.ids.id_of(v),
-                degree: self.graph.degree(v),
-                n,
-            })
-            .collect();
-        let slots = self.graph.directed_edge_count();
-        // The two arenas; after setup the round loop only moves `Option`s in
-        // place and swaps the buffers, never reallocating.
-        let mut read: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
-        let mut write: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let budget = self.budget();
-        let mut meter = CostMeter::default();
-
-        for v in 0..n {
-            let mut out = Outlet {
-                node: v,
-                slots: &mut write[self.graph.edge_slots(v)],
-            };
-            nodes[v].start(&contexts[v], &mut out);
-        }
-
-        let mut rounds_used = 0;
-        if n > 0 && max_rounds == 0 {
-            return Err(EngineError::RoundLimit {
-                limit: 0,
-                still_running: n,
-            });
-        }
-        for round in 1..=max_rounds {
-            // Deliver: meter what was just written, clear the consumed arena,
-            // flip. Readers then see the fresh messages through their mirror
-            // slots; no copying happens.
-            for msg in write.iter().flatten() {
-                meter.record_message(msg.wire_bits(), budget);
-            }
-            for slot in read.iter_mut() {
-                *slot = None;
-            }
-            std::mem::swap(&mut read, &mut write);
-
-            let still_running = step(
-                &mut nodes,
-                &mut outputs,
-                &mut write,
-                &read,
-                &contexts,
-                round,
-            );
-            rounds_used = round;
-            if still_running == 0 {
-                break;
-            }
-            if round == max_rounds {
-                return Err(EngineError::RoundLimit {
-                    limit: max_rounds,
-                    still_running,
-                });
-            }
-        }
-
-        meter.rounds = rounds_used as u64;
-        meter.random_bits = nodes.iter().map(random_bits).sum();
-        let outputs = outputs
-            .into_iter()
-            .map(|h| h.expect("all nodes halted")) // audit: allow(panic) -- executor ran to quiescence on the line above; a non-halted node is a logic bug
-            .collect();
-        Ok(Run {
-            outputs,
-            meter,
-            budget_bits: budget,
-        })
+        let reference = self.run_metered(nodes.clone(), max_rounds, &random_bits);
+        let parallel = self
+            .parallel(nodes, max_rounds, threads, &mut Reliable, &random_bits)
+            .map(|(outputs, meter)| self.completed(outputs, meter));
+        #[cfg(feature = "determinism-checks")]
+        assert_deterministic(&reference, &parallel);
+        parallel
     }
 
     /// Execute `protocols` sequentially under the fault schedule `plan`.
     ///
     /// Faults are injected at the delivery boundary between the write and
     /// read arenas (see [`crate::faults`] for the exact semantics). A plan
-    /// with all rates zero takes exactly the fault-free delivery path: the
+    /// with all rates zero delivers exactly as the fault-free run does: the
     /// outcomes and meter equal [`Executor::run`]'s bit for bit.
     ///
     /// # Errors
@@ -552,19 +448,10 @@ impl<'g> Executor<'g> {
         plan: &FaultPlan,
         random_bits: impl Fn(&P) -> u64,
     ) -> Result<FaultRun<P::Output>, EngineError> {
-        let nodes: Vec<P> = protocols.into_iter().collect();
-        let graph = self.graph;
-        self.drive_faulty(
-            nodes,
-            max_rounds,
-            plan,
-            &random_bits,
-            |nodes, outputs, write, read, contexts, crashed, round| {
-                step_chunk(
-                    graph, contexts, 0, nodes, outputs, write, 0, read, crashed, round,
-                )
-            },
-        )
+        let nodes = protocols.into_iter().collect();
+        let mut faulty = Faulty::new(plan, self.graph.node_count());
+        let (outputs, meter) = self.sequential(nodes, max_rounds, &mut faulty, &random_bits)?;
+        Ok(faulty.outcome(outputs, meter, self.budget()))
     }
 
     /// [`Executor::run_with_faults`] with node steps chunked across
@@ -587,48 +474,72 @@ impl<'g> Executor<'g> {
     where
         P: BatchProtocol + Send + Clone,
         P::Message: Send + Sync,
-        P::Output: Send + PartialEq + std::fmt::Debug,
+        P::Output: Send + PartialEq + fmt::Debug,
     {
         let nodes: Vec<P> = protocols.into_iter().collect();
         #[cfg(feature = "determinism-checks")]
-        {
-            let reference = self.run_with_faults(nodes.clone(), max_rounds, plan);
-            let parallel = self.run_parallel_with_faults_inner(nodes, max_rounds, threads, plan);
-            match (&reference, &parallel) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(
-                        a.meter, b.meter,
-                        "determinism check: faulty parallel meter diverged from sequential"
-                    );
-                    assert_eq!(
-                        a.outcomes, b.outcomes,
-                        "determinism check: faulty parallel outcomes diverged from sequential"
-                    );
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a, b, "determinism check: faulty error outcomes diverged");
-                }
-                _ => panic!("determinism check: faulty parallel and sequential outcomes diverged"), // audit: allow(panic) -- determinism diagnostic: divergence must abort loudly, not be smoothed over
-            }
-            parallel
-        }
-        #[cfg(not(feature = "determinism-checks"))]
-        {
-            self.run_parallel_with_faults_inner(nodes, max_rounds, threads, plan)
+        let reference = self.run_with_faults(nodes.clone(), max_rounds, plan);
+        let mut faulty = Faulty::new(plan, self.graph.node_count());
+        let parallel = self
+            .parallel(nodes, max_rounds, threads, &mut faulty, &|_| 0)
+            .map(|(outputs, meter)| faulty.outcome(outputs, meter, self.budget()));
+        #[cfg(feature = "determinism-checks")]
+        assert_deterministic(&reference, &parallel);
+        parallel
+    }
+
+    /// A fault-free run's result: every node halted (the round loop only
+    /// returns once none is running and none can crash).
+    fn completed<O>(&self, outputs: Vec<Option<O>>, meter: CostMeter) -> Run<O> {
+        let outputs = outputs
+            .into_iter()
+            .map(|h| h.expect("all nodes halted")) // audit: allow(panic) -- the round loop ran to quiescence and nothing crashes without a fault plan; a non-halted node is a logic bug
+            .collect();
+        Run {
+            outputs,
+            meter,
+            budget_bits: self.budget(),
         }
     }
 
-    fn run_parallel_with_faults_inner<P>(
-        &mut self,
+    /// The round loop with every node stepped in index order.
+    fn sequential<P: BatchProtocol, D: DeliveryPolicy<P::Message>>(
+        &self,
+        nodes: Vec<P>,
+        max_rounds: u32,
+        delivery: &mut D,
+        random_bits: &impl Fn(&P) -> u64,
+    ) -> Result<Halted<P::Output>, EngineError> {
+        let graph = self.graph;
+        self.drive(
+            nodes,
+            max_rounds,
+            delivery,
+            random_bits,
+            |nodes, outputs, write, read, contexts, crashed, round| {
+                step_chunk(
+                    graph, contexts, 0, nodes, outputs, write, 0, read, crashed, round,
+                )
+            },
+        )
+    }
+
+    /// The round loop with node steps chunked across `threads` scoped
+    /// threads (`0` = available parallelism); sequential when that leaves a
+    /// single chunk.
+    fn parallel<P, D>(
+        &self,
         nodes: Vec<P>,
         max_rounds: u32,
         threads: usize,
-        plan: &FaultPlan,
-    ) -> Result<FaultRun<P::Output>, EngineError>
+        delivery: &mut D,
+        random_bits: &impl Fn(&P) -> u64,
+    ) -> Result<Halted<P::Output>, EngineError>
     where
         P: BatchProtocol + Send,
         P::Message: Send + Sync,
         P::Output: Send,
+        D: DeliveryPolicy<P::Message>,
     {
         let n = self.graph.node_count();
         let threads = if threads == 0 {
@@ -638,15 +549,15 @@ impl<'g> Executor<'g> {
         };
         let chunks = threads.min(n.max(1));
         if chunks <= 1 {
-            return self.run_with_faults_metered(nodes, max_rounds, plan, |_| 0);
+            return self.sequential(nodes, max_rounds, delivery, random_bits);
         }
         let bounds = chunk_bounds(n, chunks);
         let graph = self.graph;
-        self.drive_faulty(
+        self.drive(
             nodes,
             max_rounds,
-            plan,
-            &|_| 0,
+            delivery,
+            random_bits,
             |nodes, outputs, write, read, contexts, crashed, round| {
                 parallel_step(
                     graph, &bounds, contexts, nodes, outputs, write, read, crashed, round,
@@ -655,21 +566,18 @@ impl<'g> Executor<'g> {
         )
     }
 
-    /// The faulty round loop: like [`Executor::drive`], but the delivery
-    /// pass routes each written message through the plan's
-    /// [`FaultPlan::message_fate`] (drop / delay / duplicate), merges
-    /// matured late copies with seeded reordering, and masks crash-stopped
-    /// nodes out of the step.
+    /// The round loop: arena setup, then per round the `delivery` step
+    /// (which fills the read arena and empties the write arena) followed by
+    /// `step`, which runs every still-active node once and returns how many
+    /// are still running; finally the random-bit accounting.
     ///
-    /// With a pass-through plan the delivery pass degenerates to exactly
-    /// the fault-free one — same `record_message` calls in the same slot
-    /// order — which is what makes rate-0 plans bit-identical to
-    /// [`Executor::drive`].
-    fn drive_faulty<P: BatchProtocol>(
-        &mut self,
+    /// Returns every node's output (`None` for a node the delivery policy
+    /// crashed) and the meter.
+    fn drive<P: BatchProtocol, D: DeliveryPolicy<P::Message>>(
+        &self,
         mut nodes: Vec<P>,
         max_rounds: u32,
-        plan: &FaultPlan,
+        delivery: &mut D,
         random_bits: &impl Fn(&P) -> u64,
         mut step: impl FnMut(
             &mut [P],
@@ -680,7 +588,7 @@ impl<'g> Executor<'g> {
             &[bool],
             u32,
         ) -> usize,
-    ) -> Result<FaultRun<P::Output>, EngineError> {
+    ) -> Result<Halted<P::Output>, EngineError> {
         let n = self.graph.node_count();
         if nodes.len() != n {
             return Err(EngineError::WrongNodeCount {
@@ -697,22 +605,17 @@ impl<'g> Executor<'g> {
             })
             .collect();
         let slots = self.graph.directed_edge_count();
+        // The two arenas; after setup the round loop only moves `Option`s in
+        // place and swaps the buffers, never reallocating.
         let mut read: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
         let mut write: Vec<Option<P::Message>> = (0..slots).map(|_| None).collect();
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
         let budget = self.budget();
         let mut meter = CostMeter::default();
 
-        let crash_at: Vec<Option<u32>> = (0..n).map(|v| plan.crash_round_of(v)).collect();
-        let mut crashed: Vec<bool> = crash_at.iter().map(|c| *c == Some(0)).collect();
-        // Ring of future deliveries: `pending[r % horizon]` holds the late
-        // copies maturing at round `r` (delays are `< horizon`, so a bucket
-        // is always drained before it is reused).
-        let horizon = plan.delay_horizon();
-        let mut pending: Vec<Vec<(usize, P::Message)>> = (0..horizon).map(|_| Vec::new()).collect();
-
+        let crashed = delivery.crashed();
         for v in 0..n {
-            if crashed[v] {
+            if crashed.get(v) == Some(&true) {
                 continue; // a node crashing at round 0 never starts
             }
             let mut out = Outlet {
@@ -721,10 +624,8 @@ impl<'g> Executor<'g> {
             };
             nodes[v].start(&contexts[v], &mut out);
         }
-
-        let mut rounds_used = 0;
-        if n > 0 && max_rounds == 0 {
-            let still_running = crashed.iter().filter(|&&c| !c).count();
+        if max_rounds == 0 {
+            let still_running = n - crashed.iter().filter(|&&c| c).count();
             if still_running > 0 {
                 return Err(EngineError::RoundLimit {
                     limit: 0,
@@ -732,64 +633,17 @@ impl<'g> Executor<'g> {
                 });
             }
         }
+
+        let mut rounds_used = 0;
         for round in 1..=max_rounds {
-            // Delivery with fault injection: every fresh send is routed by
-            // its fate, then this round's matured late copies are merged.
-            for slot in read.iter_mut() {
-                *slot = None;
-            }
-            for slot in 0..slots {
-                let Some(msg) = write[slot].take() else {
-                    continue;
-                };
-                let fate = plan.message_fate(round, slot);
-                if let Some(extra) = fate.duplicate {
-                    meter.duplicated += 1;
-                    pending[(round as usize + extra as usize) % horizon].push((slot, msg.clone()));
-                }
-                match fate.primary {
-                    Delivery::Deliver => {
-                        meter.record_message(msg.wire_bits(), budget);
-                        read[slot] = Some(msg);
-                    }
-                    Delivery::Drop => meter.dropped += 1,
-                    Delivery::Delay(extra) => {
-                        meter.delayed += 1;
-                        pending[(round as usize + extra as usize) % horizon].push((slot, msg));
-                    }
-                }
-            }
-            let mut matured = std::mem::take(&mut pending[round as usize % horizon]);
-            for (slot, msg) in matured.drain(..) {
-                // A late copy still arrives (and is metered); when it races
-                // a message already delivered on the same edge this round,
-                // the seeded reorder coin picks the copy the receiver
-                // observes and the superseded one counts as dropped.
-                meter.record_message(msg.wire_bits(), budget);
-                if read[slot].is_none() {
-                    read[slot] = Some(msg);
-                } else {
-                    meter.dropped += 1;
-                    if plan.late_wins(round, slot) {
-                        read[slot] = Some(msg);
-                    }
-                }
-            }
-            pending[round as usize % horizon] = matured; // keep the allocation
-
-            for (v, c) in crash_at.iter().enumerate() {
-                if *c == Some(round) {
-                    crashed[v] = true; // stops executing from this round on
-                }
-            }
-
+            delivery.deliver(round, &mut read, &mut write, &mut meter, budget);
             let still_running = step(
                 &mut nodes,
                 &mut outputs,
                 &mut write,
                 &read,
                 &contexts,
-                &crashed,
+                delivery.crashed(),
                 round,
             );
             rounds_used = round;
@@ -806,23 +660,199 @@ impl<'g> Executor<'g> {
 
         meter.rounds = rounds_used as u64;
         meter.random_bits = nodes.iter().map(random_bits).sum();
+        Ok((outputs, meter))
+    }
+}
+
+/// What the round loop leaves behind: per-node outputs (`None` for crashed
+/// nodes) and the meter.
+type Halted<O> = (Vec<Option<O>>, CostMeter);
+
+/// Under the `determinism-checks` feature: a parallel run must reproduce
+/// the sequential reference order exactly, error outcomes included.
+#[cfg(feature = "determinism-checks")]
+fn assert_deterministic<T: PartialEq + fmt::Debug>(
+    sequential: &Result<T, EngineError>,
+    parallel: &Result<T, EngineError>,
+) {
+    assert_eq!(
+        sequential, parallel,
+        "determinism check: the parallel run diverged from the sequential order"
+    );
+}
+
+/// The delivery step between the write and read arenas — the one place a
+/// fault-free run and a faulty run differ.
+trait DeliveryPolicy<M> {
+    /// Per-node crash-stop mask for the current round (empty: no node ever
+    /// crashes).
+    fn crashed(&self) -> &[bool];
+
+    /// Deliver what nodes wrote for round `round`: afterwards `read` holds
+    /// exactly the messages received this round, every slot of `write` is
+    /// empty, and every delivered copy is metered.
+    fn deliver(
+        &mut self,
+        round: u32,
+        read: &mut Vec<Option<M>>,
+        write: &mut Vec<Option<M>>,
+        meter: &mut CostMeter,
+        budget: Option<u64>,
+    );
+}
+
+/// The model's ideal network: every message written in round `r` arrives in
+/// round `r + 1` and no node crashes.
+struct Reliable;
+
+impl<M: WireSize> DeliveryPolicy<M> for Reliable {
+    fn crashed(&self) -> &[bool] {
+        &[]
+    }
+
+    fn deliver(
+        &mut self,
+        _round: u32,
+        read: &mut Vec<Option<M>>,
+        write: &mut Vec<Option<M>>,
+        meter: &mut CostMeter,
+        budget: Option<u64>,
+    ) {
+        // Meter what was just written, clear the consumed arena, flip.
+        // Readers then see the fresh messages through their mirror slots;
+        // no copying happens.
+        for msg in write.iter().flatten() {
+            meter.record_message(msg.wire_bits(), budget);
+        }
+        for slot in read.iter_mut() {
+            *slot = None;
+        }
+        std::mem::swap(read, write);
+    }
+}
+
+/// Delivery under a [`FaultPlan`]: each written message is routed by its
+/// [`FaultPlan::message_fate`] (drop / delay / duplicate), matured late
+/// copies are merged with seeded reordering, and nodes crash-stop at their
+/// planned rounds.
+///
+/// With a pass-through plan every fate is [`Delivery::Deliver`], so the
+/// delivery pass makes the same `record_message` calls in the same slot
+/// order as [`Reliable`] — which is what makes rate-0 plans bit-identical
+/// to the fault-free run.
+struct Faulty<'p, M> {
+    plan: &'p FaultPlan,
+    crash_at: Vec<Option<u32>>,
+    crashed: Vec<bool>,
+    /// Ring of future deliveries: `pending[r % horizon]` holds the late
+    /// copies maturing at round `r` (delays are `< horizon`, so a bucket is
+    /// always drained before it is reused).
+    pending: Vec<Vec<(usize, M)>>,
+}
+
+impl<'p, M> Faulty<'p, M> {
+    fn new(plan: &'p FaultPlan, n: usize) -> Self {
+        let crash_at: Vec<Option<u32>> = (0..n).map(|v| plan.crash_round_of(v)).collect();
+        let crashed = crash_at.iter().map(|c| *c == Some(0)).collect();
+        let pending = (0..plan.delay_horizon()).map(|_| Vec::new()).collect();
+        Self {
+            plan,
+            crash_at,
+            crashed,
+            pending,
+        }
+    }
+
+    /// Shape the round loop's outputs into per-node outcomes.
+    fn outcome<O>(
+        &self,
+        outputs: Vec<Option<O>>,
+        meter: CostMeter,
+        budget_bits: Option<u64>,
+    ) -> FaultRun<O> {
         let outcomes = outputs
             .into_iter()
-            .zip(&crash_at)
+            .zip(&self.crash_at)
             .map(|(out, crash)| match out {
                 Some(o) => NodeOutcome::Halted(o),
-                // The loop only exits success once every live node halted,
-                // so an output-less node necessarily crashed.
+                // The loop only exits successfully once every live node
+                // halted, so an output-less node necessarily crashed.
                 None => NodeOutcome::Crashed {
                     round: crash.unwrap_or(0),
                 },
             })
             .collect();
-        Ok(FaultRun {
+        FaultRun {
             outcomes,
             meter,
-            budget_bits: budget,
-        })
+            budget_bits,
+        }
+    }
+}
+
+impl<M: Clone + WireSize> DeliveryPolicy<M> for Faulty<'_, M> {
+    fn crashed(&self) -> &[bool] {
+        &self.crashed
+    }
+
+    fn deliver(
+        &mut self,
+        round: u32,
+        read: &mut Vec<Option<M>>,
+        write: &mut Vec<Option<M>>,
+        meter: &mut CostMeter,
+        budget: Option<u64>,
+    ) {
+        let horizon = self.pending.len();
+        // Every fresh send is routed by its fate, then this round's matured
+        // late copies are merged.
+        for slot in read.iter_mut() {
+            *slot = None;
+        }
+        for (slot, written) in write.iter_mut().enumerate() {
+            let Some(msg) = written.take() else {
+                continue;
+            };
+            let fate = self.plan.message_fate(round, slot);
+            if let Some(extra) = fate.duplicate {
+                meter.duplicated += 1;
+                self.pending[(round as usize + extra as usize) % horizon].push((slot, msg.clone()));
+            }
+            match fate.primary {
+                Delivery::Deliver => {
+                    meter.record_message(msg.wire_bits(), budget);
+                    read[slot] = Some(msg);
+                }
+                Delivery::Drop => meter.dropped += 1,
+                Delivery::Delay(extra) => {
+                    meter.delayed += 1;
+                    self.pending[(round as usize + extra as usize) % horizon].push((slot, msg));
+                }
+            }
+        }
+        let mut matured = std::mem::take(&mut self.pending[round as usize % horizon]);
+        for (slot, msg) in matured.drain(..) {
+            // A late copy still arrives (and is metered); when it races a
+            // message already delivered on the same edge this round, the
+            // seeded reorder coin picks the copy the receiver observes and
+            // the superseded one counts as dropped.
+            meter.record_message(msg.wire_bits(), budget);
+            if read[slot].is_none() {
+                read[slot] = Some(msg);
+            } else {
+                meter.dropped += 1;
+                if self.plan.late_wins(round, slot) {
+                    read[slot] = Some(msg);
+                }
+            }
+        }
+        self.pending[round as usize % horizon] = matured; // keep the allocation
+
+        for (v, c) in self.crash_at.iter().enumerate() {
+            if *c == Some(round) {
+                self.crashed[v] = true; // stops executing from this round on
+            }
+        }
     }
 }
 
@@ -837,8 +867,7 @@ fn chunk_bounds(n: usize, chunks: usize) -> Vec<(usize, usize)> {
 
 /// One parallel round: split nodes/outputs/write along `bounds` (slot
 /// segments follow the CSR offsets) and step every chunk on its own scoped
-/// thread. Shared by the fault-free and faulty drivers (`crashed` is empty
-/// on the fault-free path).
+/// thread (`crashed` is empty when no node can crash).
 #[allow(clippy::too_many_arguments)]
 fn parallel_step<P>(
     graph: &Graph,
@@ -902,7 +931,8 @@ where
     })
 }
 
-/// Step one contiguous chunk of nodes; returns how many are still running.
+/// Run one round on one contiguous chunk of nodes; returns how many are
+/// still running.
 ///
 /// `nodes`, `outputs` and `write` are the chunk's slices (node range
 /// `node_base..node_base + nodes.len()`, slot range starting at `slot_base`);
@@ -961,68 +991,38 @@ mod tests {
     use super::*;
     use locality_graph::prelude::*;
 
-    /// BFS flooding (mirrors the engine test, through the batched interface).
-    #[derive(Debug, Clone)]
-    struct Flood {
-        is_source: bool,
-        dist: Option<u32>,
-        deadline: u32,
-    }
+    use crate::protocols::{BfsOutput, BfsProtocol};
 
-    impl BatchProtocol for Flood {
-        type Message = u32;
-        type Output = Option<u32>;
-
-        fn start(&mut self, _ctx: &NodeContext, out: &mut Outlet<'_, u32>) {
-            if self.is_source {
-                self.dist = Some(0);
-                out.broadcast(0);
-            }
-        }
-
-        fn round(
-            &mut self,
-            _ctx: &NodeContext,
-            round: u32,
-            inbox: &Inbox<'_, u32>,
-            out: &mut Outlet<'_, u32>,
-        ) -> Control<Option<u32>> {
-            if round >= self.deadline {
-                return Control::Halt(self.dist);
-            }
-            if self.dist.is_none() {
-                if let Some(d) = inbox.iter().map(|(_, &d)| d + 1).min() {
-                    self.dist = Some(d);
-                    out.broadcast(d);
-                }
-            }
-            Control::Continue
-        }
-    }
-
-    fn flood_protocols(g: &Graph, sources: &[usize], deadline: u32) -> Vec<Flood> {
+    /// One BFS instance per node, flooding from `sources` until `deadline`.
+    fn flood_protocols(g: &Graph, sources: &[usize], deadline: u32) -> Vec<BfsProtocol> {
         (0..g.node_count())
-            .map(|v| Flood {
-                is_source: sources.contains(&v),
-                dist: None,
-                deadline,
-            })
+            .map(|v| BfsProtocol::new(sources.contains(&v), deadline))
             .collect()
+    }
+
+    /// The BFS distance a halted node reported, `None` for a crashed one.
+    fn distance(outcome: &NodeOutcome<BfsOutput>) -> Option<Option<u32>> {
+        outcome.output().map(|&(d, _)| d)
     }
 
     #[test]
     fn sequential_flood_matches_bfs() {
-        let g = Graph::grid(5, 7);
-        let ids = IdAssignment::sequential(g.node_count());
-        let run = Executor::congest(&g, &ids)
-            .run(flood_protocols(&g, &[0], 30), 31)
-            .unwrap();
-        let reference = bfs_distances(&g, 0);
-        for v in g.nodes() {
-            assert_eq!(run.outputs[v], reference[v], "node {v}");
+        // A grid, and two components where the far one is unreachable.
+        let split = Graph::disjoint_union(&[Graph::path(20), Graph::path(20)]);
+        for g in [Graph::grid(5, 7), split] {
+            let ids = IdAssignment::sequential(g.node_count());
+            let run = Executor::congest(&g, &ids)
+                .run(flood_protocols(&g, &[0], 30), 31)
+                .unwrap();
+            let reference = bfs_distances(&g, 0);
+            for v in g.nodes() {
+                assert_eq!(run.outputs[v].0, reference[v], "node {v}");
+            }
+            // Every node halts at the quiet deadline, long after the flood.
+            assert_eq!(run.meter.rounds, 30);
+            assert!(run.congest_clean());
+            assert_eq!(run.budget_bits, Some(8 * g.log2_n() as u64));
         }
-        assert!(run.congest_clean());
-        assert_eq!(run.budget_bits, Some(8 * g.log2_n() as u64));
     }
 
     #[test]
@@ -1049,32 +1049,17 @@ mod tests {
                 .run_parallel(flood_protocols(&g, &[], 3), 4, 4)
                 .unwrap();
             assert_eq!(run.outputs.len(), g.node_count());
-            assert!(run.outputs.iter().all(|d| d.is_none()));
+            assert!(run.outputs.iter().all(|&o| o == (None, None)));
         }
     }
 
     #[test]
     fn round_limit_reported_with_still_running() {
-        #[derive(Debug, Clone)]
-        struct Forever;
-        impl BatchProtocol for Forever {
-            type Message = bool;
-            type Output = ();
-            fn start(&mut self, _: &NodeContext, _: &mut Outlet<'_, bool>) {}
-            fn round(
-                &mut self,
-                _: &NodeContext,
-                _: u32,
-                _: &Inbox<'_, bool>,
-                _: &mut Outlet<'_, bool>,
-            ) -> Control<()> {
-                Control::Continue
-            }
-        }
+        // BFS nodes run until their deadline, past the round budget.
         let g = Graph::path(3);
         let ids = IdAssignment::sequential(3);
         let err = Executor::local(&g, &ids)
-            .run([Forever, Forever, Forever], 4)
+            .run(flood_protocols(&g, &[0], 10), 4)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1083,9 +1068,10 @@ mod tests {
                 still_running: 3
             }
         );
+        assert!(err.to_string().contains('4'));
         // Zero-round budgets with live nodes are a limit error, not a panic.
         let err0 = Executor::local(&g, &ids)
-            .run([Forever, Forever, Forever], 0)
+            .run(flood_protocols(&g, &[0], 10), 0)
             .unwrap_err();
         assert!(matches!(err0, EngineError::RoundLimit { limit: 0, .. }));
     }
@@ -1128,6 +1114,8 @@ mod tests {
 
     #[test]
     fn directed_send_overrides_broadcast_slot() {
+        // One message per edge per round: the last write to a port wins,
+        // whether it overrides a broadcast or an earlier directed send.
         #[derive(Debug, Clone)]
         struct Sender;
         impl BatchProtocol for Sender {
@@ -1136,6 +1124,7 @@ mod tests {
             fn start(&mut self, ctx: &NodeContext, out: &mut Outlet<'_, u8>) {
                 if ctx.node == 1 {
                     out.broadcast(1);
+                    out.send(0, 8);
                     out.send(0, 9);
                 }
             }
@@ -1202,10 +1191,10 @@ mod tests {
             .unwrap();
         assert_eq!(run.crashed_count(), 1);
         assert!(run.outcomes[2].is_crashed());
-        assert_eq!(run.outcomes[1], NodeOutcome::Halted(Some(1)));
+        assert_eq!(distance(&run.outcomes[1]), Some(Some(1)));
         // Beyond the crash, the distance never arrives.
-        assert_eq!(run.outcomes[3], NodeOutcome::Halted(None));
-        assert_eq!(run.outcomes[4], NodeOutcome::Halted(None));
+        assert_eq!(distance(&run.outcomes[3]), Some(None));
+        assert_eq!(distance(&run.outcomes[4]), Some(None));
     }
 
     #[test]
@@ -1219,7 +1208,7 @@ mod tests {
         // The source crashed before its start-round broadcast: nothing floods.
         assert_eq!(run.meter.messages, 0);
         assert!(run.outcomes[0].is_crashed());
-        assert_eq!(run.outcomes[1], NodeOutcome::Halted(None));
+        assert_eq!(distance(&run.outcomes[1]), Some(None));
     }
 
     #[test]
@@ -1233,7 +1222,7 @@ mod tests {
             .unwrap();
         assert_eq!(run.meter.messages, 0);
         assert!(run.meter.dropped > 0);
-        assert_eq!(run.outcomes[1], NodeOutcome::Halted(None));
+        assert_eq!(distance(&run.outcomes[1]), Some(None));
     }
 
     #[test]
@@ -1246,7 +1235,7 @@ mod tests {
         let run = Executor::local(&g, &ids)
             .run_with_faults(flood_protocols(&g, &[0], 8), 9, &plan)
             .unwrap();
-        assert_eq!(run.outcomes[1], NodeOutcome::Halted(Some(1)));
+        assert_eq!(distance(&run.outcomes[1]), Some(Some(1)));
         assert!(run.meter.delayed > 0);
     }
 
@@ -1271,5 +1260,44 @@ mod tests {
         }
         // The schedule actually exercised each fault class.
         assert!(seq.meter.dropped > 0 && seq.meter.duplicated > 0 && seq.meter.delayed > 0);
+    }
+
+    #[test]
+    fn congest_violation_detected() {
+        // The hub of a star broadcasts one over-budget message: CONGEST is
+        // a per-edge budget, so that is one violation per directed message.
+        #[derive(Debug, Clone)]
+        struct Fat;
+        impl BatchProtocol for Fat {
+            type Message = Vec<u64>;
+            type Output = ();
+            fn start(&mut self, ctx: &NodeContext, out: &mut Outlet<'_, Vec<u64>>) {
+                if ctx.node == 0 {
+                    out.broadcast(vec![0u64; 100]); // 64 + 6400 bits
+                }
+            }
+            fn round(
+                &mut self,
+                _: &NodeContext,
+                _: u32,
+                _: &Inbox<'_, Vec<u64>>,
+                _: &mut Outlet<'_, Vec<u64>>,
+            ) -> Control<()> {
+                Control::Halt(())
+            }
+        }
+        let g = Graph::star(5);
+        let ids = IdAssignment::sequential(5);
+        let run = Executor::congest(&g, &ids)
+            .run([Fat, Fat, Fat, Fat, Fat], 3)
+            .unwrap();
+        assert_eq!(run.meter.messages, 4);
+        assert_eq!(run.meter.congest_violations, 4);
+        assert!(!run.congest_clean());
+        let run = Executor::local(&g, &ids)
+            .run([Fat, Fat, Fat, Fat, Fat], 3)
+            .unwrap();
+        assert_eq!(run.meter.congest_violations, 0);
+        assert!(run.congest_clean());
     }
 }

@@ -1,103 +1,16 @@
-//! Property test: the parallel arena executor is bit-identical to the
+//! Property tests: the parallel arena executor is bit-identical to the
 //! sequential one — same outputs, same [`CostMeter`] — over random `G(n, p)`
-//! graphs and randomly scripted protocols, for every thread count.
-//!
-//! The scripted protocol is adversarial for determinism bugs: each node
-//! follows its own pseudo-random schedule of silences, broadcasts, directed
-//! sends (including overrides) and halts, and folds its entire message
-//! history (port and payload) into an order-sensitive checksum, so a single
-//! misrouted, duplicated, stale or dropped message changes some node's
-//! output.
+//! graphs and randomly scripted protocols (see `support`), for every thread
+//! count; and BFS flooding on the executor matches the centralized
+//! reference.
+
+mod support;
 
 use locality_graph::prelude::*;
-use locality_rand::prng::{Prng, SplitMix64};
 use locality_sim::prelude::*;
+use locality_sim::protocols::BfsProtocol;
 use proptest::prelude::*;
-
-/// Deterministic pseudo-random per-node protocol driven by its own PRNG.
-#[derive(Debug, Clone)]
-struct Script {
-    rng: SplitMix64,
-    halt_round: u32,
-    checksum: u64,
-}
-
-impl Script {
-    fn new(seed: u64, node: usize) -> Self {
-        let mut rng = SplitMix64::new(seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let halt_round = 1 + (rng.next_u64() % 12) as u32;
-        Self {
-            rng,
-            halt_round,
-            checksum: 0,
-        }
-    }
-
-    fn absorb(&mut self, port: usize, msg: u64) {
-        self.checksum = self
-            .checksum
-            .rotate_left(7)
-            .wrapping_add(msg)
-            .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(port as u64 + 1);
-    }
-
-    fn act(&mut self, out: &mut Outlet<'_, u64>) {
-        let degree = out.degree();
-        match self.rng.next_u64() % 4 {
-            0 => {} // silent round
-            1 => out.broadcast(self.rng.next_u64() >> 32),
-            2 if degree > 0 => {
-                let port = (self.rng.next_u64() % degree as u64) as usize;
-                out.send(port, self.rng.next_u64() >> 32);
-            }
-            _ if degree > 0 => {
-                // A broadcast partially overridden by directed sends.
-                out.broadcast(self.rng.next_u64() >> 32);
-                for _ in 0..(self.rng.next_u64() % 3) {
-                    let port = (self.rng.next_u64() % degree as u64) as usize;
-                    out.send(port, self.rng.next_u64() >> 32);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-impl BatchProtocol for Script {
-    type Message = u64;
-    type Output = (u32, u64);
-
-    fn start(&mut self, _ctx: &NodeContext, out: &mut Outlet<'_, u64>) {
-        self.act(out);
-    }
-
-    fn round(
-        &mut self,
-        _ctx: &NodeContext,
-        round: u32,
-        inbox: &Inbox<'_, u64>,
-        out: &mut Outlet<'_, u64>,
-    ) -> Control<(u32, u64)> {
-        for (port, &msg) in inbox.iter() {
-            self.absorb(port, msg);
-        }
-        if round >= self.halt_round {
-            return Control::Halt((round, self.checksum));
-        }
-        self.act(out);
-        Control::Continue
-    }
-}
-
-fn arb_gnp() -> impl Strategy<Value = Graph> {
-    (1usize..40, any::<u64>()).prop_map(|(n, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        // Sparse-to-dense sweep: p in roughly [0.02, 0.5].
-        let p = 0.02 + (rng.next_u64() % 49) as f64 / 100.0;
-        Graph::gnp(n, p, &mut rng)
-    })
-}
+use support::{arb_gnp, Script};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -133,78 +46,35 @@ proptest! {
     }
 
     #[test]
-    fn legacy_engine_agrees_with_batched_flood(
+    fn bfs_protocol_matches_multi_source_bfs(
         g in arb_gnp(),
-        source_pick in any::<u64>(),
+        picks in (any::<u64>(), any::<u64>()),
+        threads in 2usize..6,
     ) {
-        // The legacy `Protocol` adapter and a native `BatchProtocol` version
-        // of BFS flooding must meter identically (same engine underneath).
+        // BFS flooding on the executor, sequential and parallel, against the
+        // centralized reference: distances match, and every parent port
+        // points at a neighbor one step closer to a source.
         let n = g.node_count();
-        let source = (source_pick % n as u64) as usize;
+        let mut sources = vec![(picks.0 % n as u64) as usize, (picks.1 % n as u64) as usize];
+        sources.dedup();
         let ids = IdAssignment::sequential(n);
-        let deadline = 2 * n as u32 + 2;
+        let deadline = n as u32 + 1;
+        let nodes = || (0..n).map(|v| BfsProtocol::new(sources.contains(&v), deadline));
 
-        struct LegacyFlood { is_source: bool, dist: Option<u32>, deadline: u32 }
-        impl Protocol for LegacyFlood {
-            type Message = u32;
-            type Output = Option<u32>;
-            fn start(&mut self, _ctx: &NodeContext) -> Outbox<u32> {
-                if self.is_source { self.dist = Some(0); Outbox::broadcast(0) } else { Outbox::silent() }
-            }
-            fn round(&mut self, _ctx: &NodeContext, round: u32, inbox: &[(usize, u32)])
-                -> Step<u32, Option<u32>>
-            {
-                if round >= self.deadline { return Step::Halt(self.dist); }
-                if self.dist.is_none() {
-                    if let Some(d) = inbox.iter().map(|&(_, d)| d + 1).min() {
-                        self.dist = Some(d);
-                        return Step::Continue(Outbox::broadcast(d));
-                    }
-                }
-                Step::Continue(Outbox::silent())
-            }
-        }
-
-        #[derive(Clone)]
-        struct BatchedFlood { is_source: bool, dist: Option<u32>, deadline: u32 }
-        impl BatchProtocol for BatchedFlood {
-            type Message = u32;
-            type Output = Option<u32>;
-            fn start(&mut self, _ctx: &NodeContext, out: &mut Outlet<'_, u32>) {
-                if self.is_source { self.dist = Some(0); out.broadcast(0); }
-            }
-            fn round(&mut self, _ctx: &NodeContext, round: u32, inbox: &Inbox<'_, u32>, out: &mut Outlet<'_, u32>)
-                -> Control<Option<u32>>
-            {
-                if round >= self.deadline { return Control::Halt(self.dist); }
-                if self.dist.is_none() {
-                    if let Some(d) = inbox.iter().map(|(_, &d)| d + 1).min() {
-                        self.dist = Some(d);
-                        out.broadcast(d);
-                    }
-                }
-                Control::Continue
-            }
-        }
-
-        let legacy = Engine::congest(&g, &ids)
-            .run(
-                (0..n).map(|v| LegacyFlood { is_source: v == source, dist: None, deadline }),
-                deadline + 1,
-            )
+        let seq = Executor::congest(&g, &ids).run(nodes(), deadline + 1).expect("completes");
+        let par = Executor::congest(&g, &ids)
+            .run_parallel(nodes(), deadline + 1, threads)
             .expect("completes");
-        let batched = Executor::congest(&g, &ids)
-            .run(
-                (0..n).map(|v| BatchedFlood { is_source: v == source, dist: None, deadline }),
-                deadline + 1,
-            )
-            .expect("completes");
-        prop_assert_eq!(&legacy.outputs, &batched.outputs);
-        prop_assert_eq!(legacy.meter, batched.meter);
+        prop_assert_eq!(&par, &seq);
 
-        let reference = bfs_distances(&g, source);
+        let (reference, _) = multi_source_bfs(&g, &sources);
         for v in g.nodes() {
-            prop_assert_eq!(legacy.outputs[v], reference[v], "node {}", v);
+            let (dist, parent) = seq.outputs[v];
+            prop_assert_eq!(dist, reference[v], "node {}", v);
+            if let Some(p) = parent {
+                let u = g.neighbors(v)[p];
+                prop_assert_eq!(reference[u].map(|d| d + 1), dist, "node {} parent {}", v, u);
+            }
         }
     }
 }

@@ -6,92 +6,19 @@
 //!    same seed yields bit-identical outcomes and meters across repeated
 //!    runs and every thread count.
 //!
-//! The scripted protocol folds its entire message history into an
-//! order-sensitive checksum (as in `proptest_executor.rs`), so a single
-//! extra, missing, stale or misrouted delivery changes some node's output;
-//! it halts on a fixed round schedule, never on message receipt, so runs
-//! terminate under arbitrary drop rates.
+//! The scripted protocol (see `support`) folds its entire message history
+//! into an order-sensitive checksum, so a single extra, missing, stale or
+//! misrouted delivery changes some node's output; it halts on a fixed round
+//! schedule, never on message receipt, so runs terminate under arbitrary
+//! drop rates.
+
+mod support;
 
 use locality_graph::prelude::*;
 use locality_rand::prng::{Prng, SplitMix64};
 use locality_sim::prelude::*;
 use proptest::prelude::*;
-
-/// Deterministic pseudo-random per-node protocol driven by its own PRNG.
-#[derive(Debug, Clone)]
-struct Script {
-    rng: SplitMix64,
-    halt_round: u32,
-    checksum: u64,
-}
-
-impl Script {
-    fn new(seed: u64, node: usize) -> Self {
-        let mut rng = SplitMix64::new(seed ^ (node as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let halt_round = 1 + (rng.next_u64() % 12) as u32;
-        Self {
-            rng,
-            halt_round,
-            checksum: 0,
-        }
-    }
-
-    fn absorb(&mut self, port: usize, msg: u64) {
-        self.checksum = self
-            .checksum
-            .rotate_left(7)
-            .wrapping_add(msg)
-            .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(port as u64 + 1);
-    }
-
-    fn act(&mut self, out: &mut Outlet<'_, u64>) {
-        let degree = out.degree();
-        match self.rng.next_u64() % 4 {
-            0 => {} // silent round
-            1 => out.broadcast(self.rng.next_u64() >> 32),
-            2 if degree > 0 => {
-                let port = (self.rng.next_u64() % degree as u64) as usize;
-                out.send(port, self.rng.next_u64() >> 32);
-            }
-            _ => {}
-        }
-    }
-}
-
-impl BatchProtocol for Script {
-    type Message = u64;
-    type Output = (u32, u64);
-
-    fn start(&mut self, _ctx: &NodeContext, out: &mut Outlet<'_, u64>) {
-        self.act(out);
-    }
-
-    fn round(
-        &mut self,
-        _ctx: &NodeContext,
-        round: u32,
-        inbox: &Inbox<'_, u64>,
-        out: &mut Outlet<'_, u64>,
-    ) -> Control<(u32, u64)> {
-        for (port, &msg) in inbox.iter() {
-            self.absorb(port, msg);
-        }
-        if round >= self.halt_round {
-            return Control::Halt((round, self.checksum));
-        }
-        self.act(out);
-        Control::Continue
-    }
-}
-
-fn arb_gnp() -> impl Strategy<Value = Graph> {
-    (1usize..40, any::<u64>()).prop_map(|(n, seed)| {
-        let mut rng = SplitMix64::new(seed);
-        let p = 0.02 + (rng.next_u64() % 49) as f64 / 100.0;
-        Graph::gnp(n, p, &mut rng)
-    })
-}
+use support::{arb_gnp, Script};
 
 /// A fault plan with every fault class active, rates derived from one seed.
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
