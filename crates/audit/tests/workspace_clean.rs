@@ -57,7 +57,7 @@ fn suppression_inventory_is_bounded() {
     let report = audit_workspace(&root).expect("workspace sources are readable");
     let panic_count = report.suppressed_count(LintId::Panic);
     assert!(
-        panic_count <= 176,
-        "panic suppression budget exceeded: {panic_count} > 176"
+        panic_count <= 173,
+        "panic suppression budget exceeded: {panic_count} > 173"
     );
 }

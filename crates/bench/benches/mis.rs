@@ -1,6 +1,8 @@
-//! Criterion timings for MIS: Luby vs decomposition-derandomized (T8).
+//! Criterion timings for the direct solvers (Luby's MIS, trial coloring) vs
+//! decomposition-derandomized MIS (T8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use locality_core::coloring;
 use locality_core::decomposition::ball_carving_decomposition;
 use locality_core::mis;
 use locality_graph::generators::Family;
@@ -18,6 +20,13 @@ fn bench_mis(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 mis::luby(g, &mut PrngSource::seeded(seed))
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("random_coloring", n), &g, |b, g| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                coloring::random_coloring(g, &mut PrngSource::seeded(seed))
             });
         });
         let order: Vec<usize> = (0..g.node_count()).collect();

@@ -60,6 +60,17 @@ pub struct ColoringOutcome {
 
 /// Randomized (∆+1)-coloring by trial colors.
 ///
+/// Each iteration charges two rounds. Every uncolored node, in ascending
+/// node order, draws one `uniform_below(free)` and proposes that index into
+/// its free palette (`{0..∆}` minus its neighbors' final colors, ascending);
+/// a proposal sticks unless a neighbor proposed the same color. The
+/// uncolored nodes form an ascending worklist, so an iteration costs
+/// `O(uncolored + their edges + ∆)` rather than `O(n + m)`. The free palette
+/// is read off an epoch-stamped buffer (each neighbor's final color is
+/// stamped with the node's epoch, so the buffer is never cleared) and the
+/// proposals live in one reused array: after setup the loop allocates
+/// nothing, and the colors vector is returned at exactly `n` entries.
+///
 /// # Example
 /// ```
 /// use locality_core::coloring::{random_coloring, verify_coloring};
@@ -72,49 +83,43 @@ pub struct ColoringOutcome {
 /// ```
 pub fn random_coloring(g: &Graph, src: &mut impl BitSource) -> ColoringOutcome {
     let n = g.node_count();
-    let palette = g.max_degree() + 1;
-    let mut colors: Vec<Option<usize>> = vec![None; n];
+    let mut palette = MexBuf::new(g.max_degree() + 1);
+    let mut colors = vec![UNCOLORED; n];
+    // A colored node's entry keeps its final color, which is never in an
+    // uncolored neighbor's free palette, so the conflict test below only
+    // ever matches this round's proposals.
+    let mut proposal = vec![UNCOLORED; n];
+    let mut worklist: Vec<usize> = (0..n).collect();
     let mut meter = CostMeter::default();
-    let mut remaining = n;
 
-    while remaining > 0 {
+    while !worklist.is_empty() {
         meter.rounds += 2;
         let before = src.bits_drawn();
-        // Proposals.
-        let proposals: Vec<Option<usize>> = (0..n)
-            .map(|v| {
-                if colors[v].is_some() {
-                    return None;
+        for &v in &worklist {
+            palette.epoch += 1;
+            let mut taken = 0;
+            for &u in g.neighbors(v) {
+                if colors[u] != UNCOLORED && palette.stamp[colors[u]] != palette.epoch {
+                    palette.stamp[colors[u]] = palette.epoch;
+                    taken += 1;
                 }
-                let taken: Vec<usize> = g.neighbors(v).iter().filter_map(|&u| colors[u]).collect();
-                let free: Vec<usize> = (0..palette).filter(|c| !taken.contains(c)).collect();
-                debug_assert!(!free.is_empty(), "palette ∆+1 can never empty");
-                Some(free[src.uniform_below(free.len() as u64) as usize])
-            })
-            .collect();
+            }
+            let free = palette.stamp.len() - taken;
+            proposal[v] = palette.nth_free(src.uniform_below(free as u64) as usize);
+        }
         meter.random_bits += src.bits_drawn() - before;
 
-        // Keep conflict-free proposals.
-        for v in 0..n {
-            let Some(p) = proposals[v] else { continue };
-            let conflict = g
-                .neighbors(v)
-                .iter()
-                .any(|&u| proposals[u] == Some(p) || colors[u] == Some(p));
-            if !conflict {
-                colors[v] = Some(p);
-                remaining -= 1;
+        worklist.retain(|&v| {
+            let p = proposal[v];
+            if g.neighbors(v).iter().any(|&u| proposal[u] == p) {
+                return true;
             }
-        }
+            colors[v] = p;
+            false
+        });
     }
 
-    ColoringOutcome {
-        colors: colors
-            .into_iter()
-            .map(|c| c.expect("all colored")) // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-            .collect(),
-        meter,
-    }
+    ColoringOutcome { colors, meter }
 }
 
 /// Deterministic (∆+1)-coloring from a network decomposition (greedy within
@@ -154,8 +159,13 @@ pub fn via_decomposition_threads(g: &Graph, d: &Decomposition, threads: usize) -
     result
 }
 
-/// Per-thread greedy state: an epoch-stamped "color taken" buffer over the
-/// palette, so the mex scan never clears or allocates.
+/// Marks a node with no color yet (colors are `< ∆ + 1 ≤ n`).
+const UNCOLORED: usize = usize::MAX;
+
+/// An epoch-stamped "color taken" buffer over the palette: a color is taken
+/// in the current epoch iff its stamp equals `epoch`, so starting a new
+/// node's scan is one increment and the buffer never clears or allocates.
+/// Trial coloring and each greedy consumer thread own one.
 struct MexBuf {
     stamp: Vec<u64>,
     epoch: u64,
@@ -166,6 +176,23 @@ impl MexBuf {
         Self {
             stamp: vec![0; palette],
             epoch: 0,
+        }
+    }
+
+    /// The `k`-th (0-based, ascending) color not taken in the current
+    /// epoch. The palette is `∆ + 1` and a node has at most `∆` neighbors,
+    /// so callers always ask for `k` below the free count.
+    fn nth_free(&self, k: usize) -> usize {
+        let mut c = 0;
+        let mut skip = k;
+        loop {
+            if self.stamp[c] != self.epoch {
+                if skip == 0 {
+                    return c;
+                }
+                skip -= 1;
+            }
+            c += 1;
         }
     }
 }
@@ -188,7 +215,7 @@ pub(crate) fn consume_with_plan(
     let clustering = d.clustering();
     let n = g.node_count();
     let palette = g.max_degree() + 1;
-    let mut colors: Vec<Option<usize>> = vec![None; n];
+    let mut colors = vec![UNCOLORED; n];
     let mut meter = CostMeter::default();
 
     for (_, clusters) in &plan.classes {
@@ -215,38 +242,31 @@ pub(crate) fn consume_with_plan(
                         // Final colors of previous classes, or staged colors
                         // of this cluster's earlier members (same-color
                         // clusters are non-adjacent, so nothing else counts).
-                        let taken = colors[u].or_else(|| {
+                        let taken = if colors[u] != UNCOLORED {
+                            Some(colors[u])
+                        } else {
                             out[base..]
                                 .binary_search_by_key(&(u as u32), |&(w, _)| w)
                                 .ok()
                                 .map(|i| out[base + i].1 as usize)
-                        });
+                        };
                         if let Some(t) = taken {
                             mex.stamp[t] = mex.epoch;
                         }
                     }
-                    let free = (0..palette)
-                        .find(|&cand| mex.stamp[cand] != mex.epoch)
-                        .expect("palette ∆+1 suffices for greedy"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-                    out.push((v as u32, free as u32));
+                    out.push((v as u32, mex.nth_free(0) as u32));
                 }
             },
         );
         for bucket in staged {
             for (v, c) in bucket {
-                colors[v as usize] = Some(c as usize);
+                colors[v as usize] = c as usize;
             }
         }
         meter.rounds += 2 * class_diam + 2;
     }
 
-    ColoringOutcome {
-        colors: colors
-            .into_iter()
-            .map(|c| c.expect("all colored")) // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
-            .collect(),
-        meter,
-    }
+    ColoringOutcome { colors, meter }
 }
 
 /// The pre-optimization deterministic consumer, retained as the differential

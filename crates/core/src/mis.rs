@@ -91,6 +91,7 @@ pub fn luby(g: &Graph, src: &mut impl BitSource) -> MisOutcome {
     // alive set decays geometrically while the iteration count is `O(log n)`.
     let mut worklist: Vec<usize> = (0..n).collect();
     let mut prio = vec![0u64; n];
+    let mut joins: Vec<usize> = Vec::new();
 
     while remaining > 0 {
         meter.rounds += 2;
@@ -100,15 +101,12 @@ pub fn luby(g: &Graph, src: &mut impl BitSource) -> MisOutcome {
         }
         meter.random_bits += src.bits_drawn() - before;
 
-        let joins: Vec<usize> = worklist
-            .iter()
-            .copied()
-            .filter(|&v| {
-                g.neighbors(v)
-                    .iter()
-                    .all(|&u| !alive[u] || (prio[v], v) < (prio[u], u))
-            })
-            .collect();
+        joins.clear();
+        joins.extend(worklist.iter().copied().filter(|&v| {
+            g.neighbors(v)
+                .iter()
+                .all(|&u| !alive[u] || (prio[v], v) < (prio[u], u))
+        }));
         for &v in &joins {
             in_mis[v] = true;
             alive[v] = false;

@@ -7,7 +7,8 @@
 //!    `(graph, request)` (randomized ones are seeded through the request),
 //!    so a repeated request is answered from the cache by reference —
 //!    zero work, zero allocation (`benches/serve.rs` asserts this with the
-//!    counting allocator).
+//!    counting allocator). The cache has a fixed heap budget and evicts
+//!    the least recently used answers past it.
 //! 2. **Decompositions + consumer plans.** The paper's central object: one
 //!    decomposition answers MIS, coloring and every SLOCAL task. The free
 //!    functions re-validate it (per-cluster diameter BFS, the dominant cost)
@@ -59,6 +60,73 @@ use locality_sim::slocal::{BallView, SlocalRunner, SlocalScratch};
 /// deterministic producer's on the benchmark families while cutting few
 /// enough edges that the greedy cluster-graph coloring stays small.
 const MPX_BETA: f64 = 0.4;
+
+/// Heap budget of one session's response cache, in bytes (estimated per
+/// entry by [`CachedResponse::new`]). Past it the least recently used
+/// answers are evicted; an evicted request that repeats is recomputed,
+/// bit-identically, since solvers are deterministic in `(graph, request)`.
+/// 64 MiB holds ~4k seeded colorings of a 2000-node graph, or ~160 of a
+/// 50 000-node one: far more than a pool of repeated request shapes needs,
+/// while a stream of one-off seeded requests no longer grows without limit.
+const RESPONSE_CACHE_BYTES: usize = 64 << 20;
+
+/// One response-cache entry.
+#[derive(Debug, Clone)]
+struct CachedResponse {
+    request: Request,
+    result: Result<Response, SolveError>,
+    /// Estimated footprint: the entry itself plus the per-node vectors
+    /// its request and answer own.
+    bytes: usize,
+    /// The session's request count at the entry's last lookup (LRU order).
+    last_used: u64,
+}
+
+impl CachedResponse {
+    fn new(request: Request, result: Result<Response, SolveError>, now: u64) -> Self {
+        let bytes = std::mem::size_of::<Self>()
+            + request_heap_bytes(&request)
+            + result.as_ref().map_or(0, response_heap_bytes);
+        Self {
+            request,
+            result,
+            bytes,
+            last_used: now,
+        }
+    }
+}
+
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+fn request_heap_bytes(request: &Request) -> usize {
+    match request {
+        Request::Verify(VerifyRequest::Mis { in_mis }) => vec_bytes(in_mis),
+        Request::Verify(VerifyRequest::Coloring { colors, .. }) => vec_bytes(colors),
+        Request::Verify(VerifyRequest::Decomposition { decomposition }) => {
+            // Assignment slot and member entry per node, a member list and
+            // a color per cluster.
+            let c = decomposition.clustering();
+            c.node_count() * (std::mem::size_of::<Option<usize>>() + std::mem::size_of::<usize>())
+                + c.cluster_count()
+                    * (std::mem::size_of::<Vec<usize>>() + std::mem::size_of::<usize>())
+        }
+        _ => 0,
+    }
+}
+
+fn response_heap_bytes(response: &Response) -> usize {
+    match response {
+        Response::Mis { in_mis, .. } => vec_bytes(in_mis),
+        Response::Coloring { colors, .. } => vec_bytes(colors),
+        Response::Slocal { output, .. } => match output {
+            SlocalOutput::Flags(f) => vec_bytes(f),
+            SlocalOutput::Colors(c) => vec_bytes(c),
+        },
+        Response::Decompose { .. } | Response::Verify(_) => 0,
+    }
+}
 
 /// The SLOCAL step of [`SlocalTask::GreedyMis`]: join iff no
 /// already-processed neighbor joined (locality 1).
@@ -242,11 +310,12 @@ struct PowerSlot {
 ///
 /// The response cache is scoped to the session's working set: it grows by
 /// one entry per *distinct* request and is probed by a linear structural
-/// compare (which is what keeps the warm path allocation-free). A session
-/// is meant to serve a bounded pool of request shapes against one graph —
-/// callers replaying unbounded streams of one-off requests (e.g. verifying
-/// ever-changing artifacts) should drop the session periodically rather
-/// than let the cache grow without limit.
+/// compare (which is what keeps the warm path allocation-free). Its
+/// estimated heap footprint is capped at 64 MiB: past that, the least
+/// recently used answers are evicted, so a stream of one-off requests
+/// (fresh seeds, ever-changing artifacts to verify) cycles through the
+/// budget instead of growing the session without limit, while the
+/// repeated shapes stay cached.
 ///
 /// # Example
 /// ```
@@ -270,7 +339,11 @@ pub struct Session {
     palette: usize,
     decomps: Vec<DecompSlot>,
     powers: Vec<PowerSlot>,
-    responses: Vec<(Request, Result<Response, SolveError>)>,
+    responses: Vec<CachedResponse>,
+    /// Sum of the cached entries' `bytes`, kept under `response_budget`.
+    response_bytes: usize,
+    /// [`RESPONSE_CACHE_BYTES`]; a field only so unit tests can shrink it.
+    response_budget: usize,
     diam_scratch: DiameterScratch,
     slocal_scratch: SlocalScratch,
     probe: Option<CostProbe>,
@@ -289,6 +362,8 @@ impl Session {
             decomps: Vec::new(),
             powers: Vec::new(),
             responses: Vec::new(),
+            response_bytes: 0,
+            response_budget: RESPONSE_CACHE_BYTES,
             diam_scratch: DiameterScratch::new(n),
             slocal_scratch: SlocalScratch::new(n),
             probe: None,
@@ -339,20 +414,37 @@ impl Session {
     /// construction.
     pub fn solve(&mut self, request: &Request) -> Result<&Response, SolveError> {
         self.stats.requests += 1;
-        let i = match self.responses.iter().position(|(r, _)| r == request) {
+        let now = self.stats.requests;
+        let i = match self.responses.iter().position(|e| e.request == *request) {
             Some(i) => {
                 self.stats.response_hits += 1;
+                self.responses[i].last_used = now;
                 i
             }
             None => {
-                let result = self.compute(request);
-                self.responses.push((request.clone(), result));
+                let entry = CachedResponse::new(request.clone(), self.compute(request), now);
+                self.make_room(entry.bytes);
+                self.response_bytes += entry.bytes;
+                self.responses.push(entry);
                 self.responses.len() - 1
             }
         };
-        match &self.responses[i].1 {
+        match &self.responses[i].result {
             Ok(response) => Ok(response),
             Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// Evict least recently used responses until `bytes` more fit the
+    /// budget (or the cache is empty: an answer larger than the whole
+    /// budget is still cached, alone, since `solve` lends it out).
+    fn make_room(&mut self, bytes: usize) {
+        while self.response_bytes + bytes > self.response_budget {
+            let Some(lru) = (0..self.responses.len()).min_by_key(|&i| self.responses[i].last_used)
+            else {
+                return;
+            };
+            self.response_bytes -= self.responses.swap_remove(lru).bytes;
         }
     }
 
@@ -550,7 +642,8 @@ impl Session {
         }
         let before = self.responses.len();
         self.responses
-            .retain(|(_, r)| matches!(r, Err(SolveError::UnsupportedStrategy { .. })));
+            .retain(|e| matches!(e.result, Err(SolveError::UnsupportedStrategy { .. })));
+        self.response_bytes = self.responses.iter().map(|e| e.bytes).sum();
         stats.responses_retained = self.responses.len() as u64;
         stats.responses_invalidated = (before - self.responses.len()) as u64;
         self.stats.responses_dropped += stats.responses_invalidated;
@@ -977,6 +1070,40 @@ mod tests {
     fn small_graph() -> Graph {
         let mut p = SplitMix64::new(77);
         Graph::gnp_connected(80, 0.05, &mut p)
+    }
+
+    #[test]
+    fn response_cache_evicts_least_recently_used_within_budget() {
+        let mut s = Session::new(small_graph());
+        let direct = |seed| {
+            Request::Mis(
+                MisOptions::new()
+                    .with_strategy(Strategy::Direct)
+                    .with_seed(seed),
+            )
+        };
+        let first = s.solve(&direct(1)).unwrap().clone();
+        s.solve(&Request::coloring()).unwrap();
+        let one_off = s.responses[0].bytes;
+        assert!(one_off > 80, "the entry counts its 80-flag vector");
+        // Room for the coloring and two one-off answers.
+        s.response_budget = s.response_bytes + one_off;
+        for seed in 2..=6 {
+            // The hot coloring answer is touched between one-off requests,
+            // so the one-offs are always the eviction victims.
+            s.solve(&direct(seed)).unwrap();
+            s.solve(&Request::coloring()).unwrap();
+            assert!(s.response_bytes <= s.response_budget);
+            assert_eq!(
+                s.response_bytes,
+                s.responses.iter().map(|e| e.bytes).sum::<usize>()
+            );
+        }
+        let stats = s.stats();
+        assert_eq!(stats.response_hits, 5, "the coloring never left the cache");
+        // Seed 1 was evicted long ago: it is recomputed, bit-identically.
+        assert_eq!(s.solve(&direct(1)).unwrap(), &first);
+        assert_eq!(s.stats().solver_runs, stats.solver_runs + 1);
     }
 
     #[test]

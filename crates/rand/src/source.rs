@@ -156,6 +156,13 @@ pub trait BitSource {
 
 /// An unbounded, metered source backed by a PRNG — the "standard model" of
 /// randomized distributed algorithms (unlimited private bits).
+///
+/// The bit stream is each PRNG word in turn, least significant bit first.
+/// The buffer holds the current word's undrawn bits *pre-reversed*: the
+/// next bit is the most significant one, the `buffered` undrawn bits fill
+/// the top of the word and every lower bit is zero. A `k`-bit draw is then
+/// one shift (first-drawn bit most significant, as [`BitSource::next_bits`]
+/// packs it), and a refill reverses the fresh word once.
 #[derive(Debug, Clone)]
 pub struct PrngSource {
     prng: Xoshiro256StarStar,
@@ -174,23 +181,50 @@ impl PrngSource {
             drawn: 0,
         }
     }
+
+    /// Load the next PRNG word, reversed, as 64 buffered bits.
+    fn refill(&mut self) {
+        self.buffer = self.prng.next_u64().reverse_bits();
+        self.buffered = 64;
+    }
+
+    /// Take the next `k` buffered bits, `1 ≤ k ≤ buffered`, first-drawn
+    /// bit most significant. Does not meter.
+    fn take(&mut self, k: u32) -> u64 {
+        let v = self.buffer >> (64 - k);
+        self.buffer = self.buffer.checked_shl(k).unwrap_or(0);
+        self.buffered -= k;
+        v
+    }
 }
 
 impl BitSource for PrngSource {
     fn try_next_bit(&mut self) -> Result<bool, Exhausted> {
         if self.buffered == 0 {
-            self.buffer = self.prng.next_u64();
-            self.buffered = 64;
+            self.refill();
         }
-        let bit = self.buffer & 1 == 1;
-        self.buffer >>= 1;
-        self.buffered -= 1;
         self.drawn += 1;
-        Ok(bit)
+        Ok(self.take(1) == 1)
     }
 
     fn bits_drawn(&self) -> u64 {
         self.drawn
+    }
+
+    /// The same bits, in the same order and metering, as the bit-at-a-time
+    /// default, taken a buffer at a time.
+    fn next_bits(&mut self, k: u32) -> Result<u64, Exhausted> {
+        assert!(k <= 64, "next_bits: k must be at most 64");
+        self.drawn += u64::from(k);
+        if k <= self.buffered {
+            return Ok(if k == 0 { 0 } else { self.take(k) });
+        }
+        // Drain what is left, then the rest comes from a fresh word.
+        let high = self.buffered;
+        let v = if high == 0 { 0 } else { self.take(high) };
+        self.refill();
+        let low = k - high;
+        Ok(v.checked_shl(low).unwrap_or(0) | self.take(low))
     }
 }
 
@@ -205,12 +239,13 @@ impl Prng for PrngSource {
         if k == 0 {
             return self.prng.next_u64();
         }
-        // `k` leftover bits become the low bits of the word; a fresh word
-        // supplies the rest and leaves its own top `k` bits buffered.
-        let low = self.buffer & ((1u64 << k) - 1);
+        // `k` leftover bits become the low bits of the word (un-reversing
+        // the buffer puts the next bit at bit 0 and leaves the rest zero);
+        // a fresh word supplies the rest and leaves its own top `k` bits
+        // buffered.
+        let low = self.buffer.reverse_bits();
         let fresh = self.prng.next_u64();
-        self.buffer = fresh >> (64 - k);
-        self.buffered = k;
+        self.buffer = fresh.reverse_bits() << (64 - k);
         low | (fresh << k)
     }
 }
@@ -455,5 +490,103 @@ mod tests {
         assert_eq!(words.bits_drawn(), 65);
         // The leftover buffer keeps the streams aligned afterwards.
         assert_eq!(bits.next_bit(), words.next_bit());
+    }
+
+    /// The LSB-first, bit-at-a-time `PrngSource` that the word-level one
+    /// replaced, kept verbatim as the oracle for the bit stream.
+    struct LsbFirstSource {
+        prng: Xoshiro256StarStar,
+        buffer: u64,
+        buffered: u32,
+        drawn: u64,
+    }
+
+    impl LsbFirstSource {
+        fn seeded(seed: u64) -> Self {
+            Self {
+                prng: Xoshiro256StarStar::new(seed),
+                buffer: 0,
+                buffered: 0,
+                drawn: 0,
+            }
+        }
+    }
+
+    impl BitSource for LsbFirstSource {
+        fn try_next_bit(&mut self) -> Result<bool, Exhausted> {
+            if self.buffered == 0 {
+                self.buffer = self.prng.next_u64();
+                self.buffered = 64;
+            }
+            let bit = self.buffer & 1 == 1;
+            self.buffer >>= 1;
+            self.buffered -= 1;
+            self.drawn += 1;
+            Ok(bit)
+        }
+
+        fn bits_drawn(&self) -> u64 {
+            self.drawn
+        }
+    }
+
+    impl Prng for LsbFirstSource {
+        fn next_u64(&mut self) -> u64 {
+            self.drawn += 64;
+            let k = self.buffered;
+            if k == 0 {
+                return self.prng.next_u64();
+            }
+            let low = self.buffer & ((1u64 << k) - 1);
+            let fresh = self.prng.next_u64();
+            self.buffer = fresh >> (64 - k);
+            self.buffered = k;
+            low | (fresh << k)
+        }
+    }
+
+    #[test]
+    fn word_level_stream_matches_bit_at_a_time_oracle() {
+        // Random interleavings of every draw shape, so each one starts at
+        // every buffer offset; values and metering must agree at each step.
+        let mut ops = crate::prng::SplitMix64::new(0x5eed);
+        for stream in 0..300u64 {
+            let mut fast = PrngSource::seeded(stream);
+            let mut slow = LsbFirstSource::seeded(stream);
+            for step in 0..400 {
+                let (a, b) = match ops.next_u64() % 6 {
+                    0 | 1 => {
+                        let k = (ops.next_u64() % 65) as u32;
+                        (fast.next_bits(k).unwrap(), slow.next_bits(k).unwrap())
+                    }
+                    2 => (u64::from(fast.next_bit()), u64::from(slow.next_bit())),
+                    3 => {
+                        let cap = (ops.next_u64() % 40) as u32;
+                        (
+                            u64::from(fast.geometric(cap)),
+                            u64::from(slow.geometric(cap)),
+                        )
+                    }
+                    4 => {
+                        // Small ranges (palette-sized) and full-width ones.
+                        let n = match ops.next_u64() % 2 {
+                            0 => 1 + ops.next_u64() % 20,
+                            _ => 1 + ops.next_u64() % u64::MAX,
+                        };
+                        (
+                            BitSource::uniform_below(&mut fast, n),
+                            BitSource::uniform_below(&mut slow, n),
+                        )
+                    }
+                    _ => (Prng::next_u64(&mut fast), Prng::next_u64(&mut slow)),
+                };
+                assert_eq!(a, b, "stream {stream}, step {step}: values differ");
+                assert_eq!(
+                    fast.bits_drawn(),
+                    slow.bits_drawn(),
+                    "stream {stream}, step {step}: metering differs"
+                );
+            }
+        }
     }
 }
