@@ -1054,7 +1054,7 @@ pub fn print_producer_rows(rows: &[ProducerRow]) {
     println!("every produced decomposition is validated; mpx runs at the serving layer's");
     println!("beta = 0.4; elkin-neiman is a simulated CONGEST algorithm and is skipped");
     println!("at large n; a diam cell `a..b` is a certified bound pair (clusters too");
-    println!("large for the exact per-member scan)\n");
+    println!("large for the exact sweep)\n");
     let mut t = Table::new(&[
         "n",
         "producer",

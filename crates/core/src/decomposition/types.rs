@@ -213,12 +213,12 @@ impl Decomposition {
 
     /// Like [`Decomposition::validate`], but clusters larger than
     /// `exact_limit` nodes get certified diameter *bounds* (a three-BFS
-    /// double sweep, `O(vol(C))`) instead of the exact per-member scan
-    /// (`O(|C| · vol(C))`). That keeps validation near-linear on
-    /// decompositions with giant clusters — the randomized producers build
-    /// Ω(n)-node clusters once their shift radius passes the graph's own
-    /// diameter, where the exact scan is quadratic and hopeless at
-    /// `n = 10⁶⁺`. All structural invariants (totality, connectivity,
+    /// double sweep, `O(vol(C))`) instead of the exact bit-parallel sweep
+    /// (`O(⌈|C|/64⌉ · (ecc + 1) · vol(C))`). That keeps validation
+    /// near-linear on decompositions with giant clusters — the randomized
+    /// producers build Ω(n)-node clusters once their shift radius passes the
+    /// graph's own diameter, where even the exact sweep is quadratic and
+    /// hopeless at `n = 10⁶⁺`. All structural invariants (totality, connectivity,
     /// properness) are still checked exactly; only the diameter *report*
     /// relaxes to an interval.
     ///

@@ -6,9 +6,12 @@
 //! `_with` variants over a reusable [`DiameterScratch`] whose epoch-stamped
 //! visited arrays make a call cost `O(touched)`, never `O(n)` — the pattern
 //! that lets a `10⁶`-node pipeline validate thousands of clusters without a
-//! single full-graph allocation per cluster. The pre-optimization
-//! implementations are retained as [`reference_induced_diameter`] /
-//! [`reference_weak_diameter`] for differential testing.
+//! single full-graph allocation per cluster. The exact strong diameter
+//! ([`induced_diameter_with`]) is a bit-parallel BFS that advances 64 sources
+//! per pass over a member-restricted local CSR, `O(⌈|S|/64⌉ · (ecc + 1) ·
+//! vol(S))` in all. The pre-optimization implementations are retained as
+//! [`reference_induced_diameter`] / [`reference_weak_diameter`] for
+//! differential testing.
 
 use crate::graph::Graph;
 use crate::subgraph::InducedSubgraph;
@@ -43,10 +46,11 @@ pub fn diameter(g: &Graph) -> Option<u32> {
 
 /// Reusable working memory for the subset-diameter functions.
 ///
-/// Two epoch-stamped marker arrays (membership and BFS visitation) plus a
-/// queue and a member buffer; bumping an epoch invalidates all stamps in
-/// `O(1)`, so back-to-back calls over many clusters never clear or allocate
-/// anything of size `n`.
+/// Two epoch-stamped marker arrays (membership and BFS visitation), a
+/// distance array (which [`induced_diameter_with`] borrows as its
+/// node-to-local-id map), a queue and a member buffer; bumping an epoch
+/// invalidates all stamps in `O(1)`, so back-to-back calls over many
+/// clusters never clear or allocate anything of size `n`.
 #[derive(Debug, Clone)]
 pub struct DiameterScratch {
     member_stamp: Vec<u64>,
@@ -106,9 +110,20 @@ pub fn induced_diameter(g: &Graph, nodes: &[usize]) -> Option<u32> {
     induced_diameter_with(g, nodes, &mut DiameterScratch::new(g.node_count()))
 }
 
-/// [`induced_diameter`] over a caller-owned scratch: one member-restricted
-/// BFS per distinct member, `O(|S| · vol(S))` total and `O(touched)` memory
-/// traffic — no size-`n` work whatever the graph size.
+/// [`induced_diameter`] over a caller-owned scratch, as a bit-parallel
+/// multi-source BFS. The distinct members get local ids and a
+/// member-restricted local CSR; then each batch of up to 64 sources expands
+/// level by level with one `u64` mask per member (bit `b` set once source
+/// `b` has reached it), so one word per local edge per level serves 64
+/// BFS runs at once. The batch's level count is its largest eccentricity,
+/// and a member some source never reached means the set is disconnected.
+///
+/// Cost: `O(⌈|S|/64⌉ · (ecc + 1) · vol(S))` word operations, where `ecc` is
+/// the largest eccentricity among a batch's sources, plus one pass over the
+/// members' full neighborhoods to build the local CSR. Working memory is
+/// `O(|S| + vol(S))`, allocated for the call and freed on return, so a
+/// long-lived scratch does not grow with the largest set it has seen; the
+/// only size-`n` arrays touched are the scratch's own.
 ///
 /// # Panics
 /// Panics if a node is out of range or the scratch was built for a different
@@ -128,32 +143,67 @@ pub fn induced_diameter_with(
     if count <= 1 {
         return Some(0);
     }
-    let mut best = 0u32;
-    for mi in 0..count {
-        let src = scratch.members[mi] as usize;
-        scratch.visit_epoch += 1;
-        scratch.visit_stamp[src] = scratch.visit_epoch;
-        scratch.dist[src] = 0;
-        scratch.queue.clear();
-        scratch.queue.push_back(src as u32);
-        let mut seen = 1usize;
-        let mut ecc = 0u32;
-        while let Some(u) = scratch.queue.pop_front() {
-            let du = scratch.dist[u as usize];
-            for &v in g.neighbors(u as usize) {
-                if scratch.is_member(v) && scratch.visit_stamp[v] != scratch.visit_epoch {
-                    scratch.visit_stamp[v] = scratch.visit_epoch;
-                    scratch.dist[v] = du + 1;
-                    ecc = du + 1;
-                    seen += 1;
-                    scratch.queue.push_back(v as u32);
-                }
+    // Member `i` is `members[i]`; `dist` maps a member back to `i`.
+    for (i, &v) in scratch.members.iter().enumerate() {
+        scratch.dist[v as usize] = i as u32;
+    }
+    // One call-local buffer: the `seen`, `frontier` and `next` masks, then
+    // the member-restricted CSR (offsets, then local neighbor ids), sized by
+    // the members' full degree sum so it is never regrown.
+    let vol: usize = scratch.members.iter().map(|&u| g.degree(u as usize)).sum();
+    let mut buf = vec![0u64; 4 * count + 1 + vol];
+    let (masks, csr) = buf.split_at_mut(3 * count);
+    let (offsets, adj) = csr.split_at_mut(count + 1);
+    let mut len = 0;
+    for (i, &u) in scratch.members.iter().enumerate() {
+        for &v in g.neighbors(u as usize) {
+            if scratch.is_member(v) {
+                adj[len] = u64::from(scratch.dist[v]);
+                len += 1;
             }
         }
-        if seen < count {
+        offsets[i + 1] = len as u64;
+    }
+    let (seen, rest) = masks.split_at_mut(count);
+    let (mut frontier, mut next) = rest.split_at_mut(count);
+    let mut best = 0u32;
+    for base in (0..count).step_by(64) {
+        let width = (count - base).min(64);
+        let full = u64::MAX >> (64 - width);
+        seen.fill(0);
+        frontier.fill(0);
+        for b in 0..width {
+            seen[base + b] = 1 << b;
+            frontier[base + b] = 1 << b;
+        }
+        let mut levels = 0u32;
+        loop {
+            let mut grown = 0u64;
+            for i in 0..count {
+                let s = seen[i];
+                if s == full {
+                    next[i] = 0;
+                    continue;
+                }
+                let mut reach = 0u64;
+                for &j in &adj[offsets[i] as usize..offsets[i + 1] as usize] {
+                    reach |= frontier[j as usize];
+                }
+                let fresh = reach & !s;
+                next[i] = fresh;
+                seen[i] = s | fresh;
+                grown |= fresh;
+            }
+            if grown == 0 {
+                break;
+            }
+            levels += 1;
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        if seen.iter().any(|&s| s != full) {
             return None;
         }
-        best = best.max(ecc);
+        best = best.max(levels);
     }
     Some(best)
 }
@@ -200,8 +250,8 @@ fn restricted_bfs(g: &Graph, src: usize, scratch: &mut DiameterScratch) -> (usiz
 /// twice the smallest (for any `x`, `diam ≤ 2·ecc(x)`, and midpoints of long
 /// paths have small eccentricity, so the two usually land close). Cost is
 /// `O(vol(S))`, independent of `|S|` — the scalable alternative to
-/// [`induced_diameter_with`]'s exact `O(|S| · vol(S))` scan when clusters
-/// grow to a constant fraction of the graph.
+/// [`induced_diameter_with`]'s exact `O(⌈|S|/64⌉ · (ecc + 1) · vol(S))`
+/// sweep when clusters grow to a constant fraction of the graph.
 ///
 /// # Panics
 /// Panics if a node is out of range or the scratch was built for a different
@@ -228,19 +278,21 @@ pub fn induced_diameter_bounds_with(
     }
     let (_, ecc_a, b) = restricted_bfs(g, a, scratch);
     // Walk halfway back along the BFS tree path from `b` toward `a`
-    // (scratch.dist still holds `a`'s distances for the current epoch).
+    // (scratch.dist still holds `a`'s distances for the current epoch). The
+    // walk stops early if no step down is found; `mid` is a member either
+    // way, and `ecc(x) ≤ diam ≤ 2·ecc(x)` holds for every member `x`, so the
+    // bounds stay certified.
     let mut mid = b;
     let mut d = ecc_a;
     while d > ecc_a / 2 {
-        mid = *g
-            .neighbors(mid)
-            .iter()
-            .find(|&&v| {
-                scratch.is_member(v)
-                    && scratch.visit_stamp[v] == scratch.visit_epoch
-                    && scratch.dist[v] == d - 1
-            })
-            .expect("BFS tree path steps down by one"); // audit: allow(panic) -- invariant established by construction; violation is a logic bug, not an input condition
+        let Some(&step) = g.neighbors(mid).iter().find(|&&v| {
+            scratch.is_member(v)
+                && scratch.visit_stamp[v] == scratch.visit_epoch
+                && scratch.dist[v] == d - 1
+        }) else {
+            break;
+        };
+        mid = step;
         d -= 1;
     }
     let (_, ecc_m, _) = restricted_bfs(g, mid, scratch);
@@ -542,6 +594,21 @@ mod tests {
             assert_eq!(induced_diameter_with(&g, &[], &mut scratch), Some(0));
             assert_eq!(weak_diameter_with(&g, &[], &mut scratch), Some(0));
         }
+    }
+
+    #[test]
+    fn diameter_endpoints_on_batch_edges() {
+        // The path's only diametral pair sits at local ids 63 and 127, the
+        // last source of the first and second 64-source batches.
+        let g = Graph::path(130);
+        let mut nodes: Vec<usize> = (1..129).collect();
+        nodes.insert(63, 0);
+        nodes.insert(127, 129);
+        let mut scratch = DiameterScratch::new(130);
+        assert_eq!(induced_diameter_with(&g, &nodes, &mut scratch), Some(129));
+        // Dropping one interior node splits the path in two.
+        nodes.retain(|&v| v != 64);
+        assert_eq!(induced_diameter_with(&g, &nodes, &mut scratch), None);
     }
 
     #[test]

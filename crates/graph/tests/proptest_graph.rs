@@ -1,6 +1,8 @@
 //! Property tests for the graph substrate.
 
+use locality_graph::metrics::{induced_diameter_with, reference_induced_diameter};
 use locality_graph::prelude::*;
+use locality_rand::prng::{Prng, SplitMix64};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -142,5 +144,112 @@ proptest! {
                 prop_assert!(b.contains(&v));
             }
         }
+    }
+}
+
+/// A graph of at least 300 nodes. The path and the grid give subsets with
+/// many BFS levels; the tree, the sparse G(n, p) and the cycle vary the rest.
+fn big_graph(kind: u8, prng: &mut SplitMix64) -> Graph {
+    match kind % 5 {
+        0 => Graph::path(320),
+        1 => Graph::grid(18, 18),
+        2 => Graph::random_tree(300, prng),
+        3 => Graph::gnp_connected(400, 4.0 / 400.0, prng),
+        _ => Graph::cycle(330),
+    }
+}
+
+/// Subset sizes on either side of the 64-source batch boundaries.
+const BATCH_EDGES: [usize; 5] = [63, 64, 65, 128, 129];
+
+fn below(pick: &mut SplitMix64, n: usize) -> usize {
+    (pick.next_u64() % n as u64) as usize
+}
+
+/// Up to `k` distinct nodes grown from `start` by repeatedly adding a random
+/// neighbor of the set, so the result induces a connected subgraph.
+fn connected_subset(g: &Graph, start: usize, k: usize, pick: &mut SplitMix64) -> Vec<usize> {
+    let mut in_set = vec![false; g.node_count()];
+    in_set[start] = true;
+    let mut set = vec![start];
+    let mut border: Vec<usize> = g.neighbors(start).to_vec();
+    while set.len() < k && !border.is_empty() {
+        let v = border.swap_remove(below(pick, border.len()));
+        if !in_set[v] {
+            in_set[v] = true;
+            set.push(v);
+            border.extend(g.neighbors(v).iter().filter(|&&w| !in_set[w]));
+        }
+    }
+    set
+}
+
+/// A subset of about `k` nodes, by `mode`: grown connected from one node,
+/// grown from two random nodes (often disconnected), or drawn uniformly
+/// (usually disconnected). Every mode then repeats a few members and
+/// shuffles, so duplicates land in any batch.
+fn subset(g: &Graph, k: usize, mode: usize, pick: &mut SplitMix64) -> Vec<usize> {
+    let n = g.node_count();
+    let mut nodes = match mode % 3 {
+        0 => connected_subset(g, below(pick, n), k, pick),
+        1 => {
+            let mut a = connected_subset(g, below(pick, n), k.div_ceil(2), pick);
+            a.extend(connected_subset(g, below(pick, n), k / 2, pick));
+            a
+        }
+        _ => (0..k).map(|_| below(pick, n)).collect(),
+    };
+    let dups = below(pick, 4);
+    for _ in 0..dups {
+        let v = nodes[below(pick, nodes.len())];
+        nodes.push(v);
+    }
+    for i in (1..nodes.len()).rev() {
+        nodes.swap(i, below(pick, i + 1));
+    }
+    nodes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn induced_diameter_matches_reference_across_batches(
+        kind in 0u8..5,
+        seed in any::<u64>(),
+    ) {
+        let mut pick = SplitMix64::new(seed);
+        let g = big_graph(kind, &mut pick);
+        prop_assert!(g.node_count() >= 300);
+        // Four sizes in 1..=300, half of them on a batch boundary, run from
+        // largest to smallest through one scratch.
+        let mut sizes: Vec<usize> = (0..4)
+            .map(|_| {
+                if pick.next_u64() % 2 == 0 {
+                    BATCH_EDGES[below(&mut pick, BATCH_EDGES.len())]
+                } else {
+                    1 + below(&mut pick, 300)
+                }
+            })
+            .collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        let mut scratch = DiameterScratch::new(g.node_count());
+        let mut finite = 0;
+        for (mode, &k) in sizes.iter().enumerate() {
+            let nodes = subset(&g, k, mode + kind as usize, &mut pick);
+            let expect = reference_induced_diameter(&g, &nodes);
+            prop_assert_eq!(
+                induced_diameter_with(&g, &nodes, &mut scratch),
+                expect,
+                "kind {} size {} {:?}",
+                kind,
+                k,
+                nodes
+            );
+            finite += usize::from(expect.is_some());
+        }
+        // Four consecutive modes include the connected one, so every case
+        // checks at least one finite diameter.
+        prop_assert!(finite >= 1);
     }
 }
