@@ -847,7 +847,7 @@ pub fn print_derand_rows(rows: &[DerandRow]) {
 /// Machine-readable form of the D1 rows (the `BENCH_derand.json` schema and
 /// the CI perf artifact).
 pub fn derand_rows_json(rows: &[DerandRow]) -> String {
-    use crate::json::Json;
+    use locality_json::Json;
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -902,6 +902,9 @@ pub struct ProducerRow {
     /// Radius truncation of the deterministic producer (`0` where the
     /// producer takes no cap — MPX and EN derive their radii internally).
     pub cap: u32,
+    /// Engine threads the deterministic producer ran with (`0` where the
+    /// producer takes no thread count — MPX and EN run on one thread).
+    pub threads: usize,
     /// Producer wall-clock, milliseconds (`None` = cell skipped or the
     /// construction failed; see `note`).
     pub time_ms: Option<f64>,
@@ -916,7 +919,8 @@ pub struct ProducerRow {
     pub max_diameter_lower: Option<u32>,
     /// Cluster count.
     pub clusters: Option<usize>,
-    /// `"ok"`, or why the cell is empty.
+    /// `"ok"`, or why the cell is empty (or, on a 2-thread deterministic
+    /// row, that its output differs from the 1-thread run).
     pub note: &'static str,
 }
 
@@ -925,14 +929,19 @@ pub struct ProducerRow {
 /// (MPX at the session's β = 0.4, and seeded Elkin–Neiman). Every produced
 /// decomposition is validated; the row records its quality (colors, max
 /// strong diameter, clusters) next to the wall-clock so the
-/// determinism-for-speed trade is visible in one table. Elkin–Neiman is a
+/// determinism-for-speed trade is visible in one table. The deterministic
+/// producer is timed twice, at one engine thread (the served default) and
+/// at two (work stealing plus the pipelined carver), and the second row's
+/// note flags any output that differs from the first. Elkin–Neiman is a
 /// simulated CONGEST algorithm — its cell is skipped above
 /// `n = 2 × 10⁴` where the per-phase sweeps dominate the matrix. `huge`
 /// adds `n = 10⁶` and the first `n = 10⁷` decomposition rows that the
 /// committed `BENCH_producers.json` records.
 pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
     use locality_core::decomposition::mpx::mpx_partition;
-    use locality_core::decomposition::{elkin_neiman, ElkinNeimanConfig};
+    use locality_core::decomposition::{
+        derandomized_decomposition_threads, elkin_neiman, ElkinNeimanConfig,
+    };
     use locality_rand::source::PrngSource;
     use std::time::Instant;
 
@@ -959,24 +968,35 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
         let mut prng = SplitMix64::new(4 + n as u64);
         let g = Graph::gnp(n, 4.0 / n as f64, &mut prng);
 
-        let t0 = Instant::now();
-        let det = derandomized_decomposition(&g, cap);
-        let det_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let q = det
-            .decomposition
-            .validate_bounded(&g, EXACT_DIAMETER_LIMIT)
-            .expect("valid deterministic decomposition"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
-        rows.push(ProducerRow {
-            n,
-            producer: "deterministic",
-            cap,
-            time_ms: Some(det_ms),
-            colors: Some(q.colors),
-            max_diameter: Some(q.max_diameter_upper),
-            max_diameter_lower: Some(q.max_diameter_lower),
-            clusters: Some(q.clusters),
-            note: "ok",
-        });
+        // The served default (one thread) next to the parallel schedule;
+        // outputs are thread-count-invariant, and the row says if not.
+        let mut sequential = None;
+        for threads in [1, 2] {
+            let t0 = Instant::now();
+            let det = derandomized_decomposition_threads(&g, cap, threads);
+            let det_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let q = det
+                .decomposition
+                .validate_bounded(&g, EXACT_DIAMETER_LIMIT)
+                .expect("valid deterministic decomposition"); // audit: allow(panic) -- harness: abort on failed setup or verification is the experiment's failure report
+            let note = match &sequential {
+                Some(d) if *d != det.decomposition => "differs from threads = 1",
+                _ => "ok",
+            };
+            rows.push(ProducerRow {
+                n,
+                producer: "deterministic",
+                cap,
+                threads,
+                time_ms: Some(det_ms),
+                colors: Some(q.colors),
+                max_diameter: Some(q.max_diameter_upper),
+                max_diameter_lower: Some(q.max_diameter_lower),
+                clusters: Some(q.clusters),
+                note,
+            });
+            sequential.get_or_insert(det.decomposition);
+        }
 
         let t1 = Instant::now();
         let mpx = mpx_partition(&g, BETA, &mut SplitMix64::new(7 + n as u64));
@@ -989,6 +1009,7 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
             n,
             producer: "mpx",
             cap: 0,
+            threads: 0,
             time_ms: Some(mpx_ms),
             colors: Some(q.colors),
             max_diameter: Some(q.max_diameter_upper),
@@ -1011,6 +1032,7 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
                         n,
                         producer: "elkin-neiman",
                         cap: 0,
+                        threads: 0,
                         time_ms: Some(en_ms),
                         colors: Some(q.colors),
                         max_diameter: Some(q.max_diameter_upper),
@@ -1023,6 +1045,7 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
                     n,
                     producer: "elkin-neiman",
                     cap: 0,
+                    threads: 0,
                     time_ms: None,
                     colors: None,
                     max_diameter: None,
@@ -1036,6 +1059,7 @@ pub fn d2_producer_rows(huge: bool) -> Vec<ProducerRow> {
                 n,
                 producer: "elkin-neiman",
                 cap: 0,
+                threads: 0,
                 time_ms: None,
                 colors: None,
                 max_diameter: None,
@@ -1059,6 +1083,7 @@ pub fn print_producer_rows(rows: &[ProducerRow]) {
         "n",
         "producer",
         "cap",
+        "threads",
         "time (ms)",
         "colors",
         "diam",
@@ -1073,6 +1098,11 @@ pub fn print_producer_rows(rows: &[ProducerRow]) {
                 "-".into()
             } else {
                 r.cap.to_string()
+            },
+            if r.threads == 0 {
+                "-".into()
+            } else {
+                r.threads.to_string()
             },
             r.time_ms.map_or("-".into(), |m| format!("{m:.1}")),
             r.colors.map_or("-".into(), |c| c.to_string()),
@@ -1091,7 +1121,7 @@ pub fn print_producer_rows(rows: &[ProducerRow]) {
 /// Machine-readable form of the D2 rows (the `BENCH_producers.json` schema
 /// and the CI perf artifact).
 pub fn producer_rows_json(rows: &[ProducerRow]) -> String {
-    use crate::json::Json;
+    use locality_json::Json;
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -1109,6 +1139,7 @@ pub fn producer_rows_json(rows: &[ProducerRow]) -> String {
                             ("n", Json::Int(r.n as i64)),
                             ("producer", Json::Str(r.producer.into())),
                             ("cap", Json::Int(i64::from(r.cap))),
+                            ("threads", Json::Int(r.threads as i64)),
                             ("time_ms", Json::float_or_skipped(r.time_ms, r.note)),
                             (
                                 "colors",
@@ -1345,7 +1376,7 @@ pub fn print_pipeline_rows(rows: &[PipelineRow]) {
 /// Machine-readable form of the P1 rows (the `BENCH_pipeline.json` schema
 /// and the CI perf artifact).
 pub fn pipeline_rows_json(rows: &[PipelineRow]) -> String {
-    use crate::json::Json;
+    use locality_json::Json;
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -1583,7 +1614,7 @@ pub fn print_serve_summary(s: &ServeSummary) {
 
 /// Machine-readable form of the S1 summary (the CI perf artifact).
 pub fn serve_summary_json(s: &ServeSummary) -> String {
-    use crate::json::Json;
+    use locality_json::Json;
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -1787,7 +1818,7 @@ pub fn print_edit_rows(rows: &[EditRow]) {
 /// Machine-readable form of the E1 rows (the `BENCH_edits.json` schema and
 /// the CI perf artifact).
 pub fn edit_rows_json(rows: &[EditRow]) -> String {
-    use crate::json::Json;
+    use locality_json::Json;
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -2107,7 +2138,7 @@ pub fn print_fault_rows(rows: &[FaultRow]) {
 /// Machine-readable form of the R1 rows (the `BENCH_faults.json` schema and
 /// the CI chaos artifact).
 pub fn fault_rows_json(rows: &[FaultRow]) -> String {
-    use crate::json::Json;
+    use locality_json::Json;
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -2428,7 +2459,7 @@ pub fn print_http_report(report: &HttpReport) {
 
 /// Machine-readable form of the H1 report (the `BENCH_http.json` schema).
 pub fn http_report_json(report: &HttpReport) -> String {
-    use crate::json::Json;
+    use locality_json::Json;
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());

@@ -17,5 +17,4 @@
 // references, not intra-doc links.
 #![allow(rustdoc::broken_intra_doc_links)]
 pub mod experiments;
-pub mod json;
 pub mod table;

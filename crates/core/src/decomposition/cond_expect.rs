@@ -147,9 +147,17 @@ fn p_clustered(
 }
 
 /// Deterministic `(O(log n), O(log n))` decomposition by derandomizing EN
-/// phases with conditional expectations — the incremental engine, using all
-/// available parallelism (outputs are thread-count-invariant; see
-/// [`derandomized_decomposition_threads`]).
+/// phases with conditional expectations — the incremental engine, run on
+/// the calling thread (`derandomized_decomposition_threads(g, cap, 1)`).
+///
+/// One call, one core: a served build already runs on one of the HTTP
+/// edge's per-core workers, so spawning the engine's evaluator and
+/// pipelined-carver threads from it only makes concurrent builds fight for
+/// the same cores (on a 2-core host, two concurrent `G(512, 4/n)` cap-8
+/// builds took 29–34 ms each on one thread against 41–44 ms on two). Outputs
+/// are thread-count-invariant, so callers that own the whole machine can
+/// ask [`derandomized_decomposition_threads`] for more threads and get the
+/// identical result.
 ///
 /// # Example
 /// ```
@@ -168,7 +176,7 @@ fn p_clustered(
 /// if progress stalls (which would contradict the expectation argument — a
 /// bug).
 pub fn derandomized_decomposition(g: &Graph, cap: u32) -> DerandResult {
-    derandomized_decomposition_threads(g, cap, 0)
+    derandomized_decomposition_threads(g, cap, 1)
 }
 
 /// [`derandomized_decomposition`] with an explicit thread count (`0` = all
@@ -176,9 +184,8 @@ pub fn derandomized_decomposition(g: &Graph, cap: u32) -> DerandResult {
 /// chunks whose partials are reduced in chunk-ascending order, state
 /// updates are owned by contiguous node ranges, and the pipelined carve
 /// replays fixing order exactly, so the output is bit-identical for every
-/// `threads` value; under the
-/// `determinism-checks` cargo feature each call re-runs single-threaded and
-/// asserts exactly that.
+/// `threads` value; under the `determinism-checks` cargo feature each call
+/// with `threads != 1` re-runs single-threaded and asserts exactly that.
 ///
 /// # Panics
 /// Panics if `cap < 2`, if the graph has `2^26` nodes or more, or on an
@@ -186,7 +193,7 @@ pub fn derandomized_decomposition(g: &Graph, cap: u32) -> DerandResult {
 pub fn derandomized_decomposition_threads(g: &Graph, cap: u32, threads: usize) -> DerandResult {
     let result = cond_incremental::run(g, cap, threads);
     #[cfg(feature = "determinism-checks")]
-    {
+    if threads != 1 {
         let sequential = cond_incremental::run(g, cap, 1);
         assert_eq!(
             result.decomposition, sequential.decomposition,

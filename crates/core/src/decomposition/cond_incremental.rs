@@ -80,6 +80,12 @@
 //!   prefix at distance `< r` is scanned (deeper entries have shifted
 //!   measure `≤ 0`, which can never change a clustering decision).
 //!
+//! Work stealing, node-range ownership and the pipelined carve run only
+//! when a caller passes `threads ≥ 2` to
+//! [`super::cond_expect::derandomized_decomposition_threads`]; the default
+//! entry, [`super::cond_expect::derandomized_decomposition`], runs the
+//! sequential schedule on the calling thread.
+//!
 //! Floating-point caveat: the cached aggregates are mathematically equal to
 //! the reference products but associate differently (and un-multiply by
 //! division), so individual expectations may differ from the reference by a

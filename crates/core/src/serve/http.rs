@@ -479,15 +479,50 @@ fn snapshot(shared: &Shared) -> MetricsSnapshot {
     .with_shards(&shared.shards)
 }
 
+/// Sleep schedule between consecutive failed `accept` calls: 1 ms doubling
+/// to a 100 ms cap, back to 1 ms after the next success. Without it a
+/// persistent error (EMFILE once the process runs out of descriptors)
+/// turns every worker into a hot loop that starves in-flight connections.
+struct AcceptBackoff {
+    next: Duration,
+}
+
+impl AcceptBackoff {
+    const FIRST: Duration = Duration::from_millis(1);
+    const MAX: Duration = Duration::from_millis(100);
+
+    fn new() -> Self {
+        Self { next: Self::FIRST }
+    }
+
+    /// The delay before the next retry; each call doubles the following one.
+    fn next_delay(&mut self) -> Duration {
+        let delay = self.next;
+        self.next = delay.saturating_mul(2).min(Self::MAX);
+        delay
+    }
+
+    fn reset(&mut self) {
+        self.next = Self::FIRST;
+    }
+}
+
 fn worker_loop(worker: usize, listener: &TcpListener, shared: &Shared, config: &HttpConfig) {
     let shard = &shared.shards[worker];
+    let mut backoff = AcceptBackoff::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
+            Ok((stream, _)) => {
+                backoff.reset();
+                stream
+            }
+            Err(_) => {
+                std::thread::sleep(backoff.next_delay());
+                continue;
+            }
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -844,6 +879,16 @@ fn respond_error(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn accept_backoff_doubles_to_its_cap_and_resets() {
+        let mut b = AcceptBackoff::new();
+        let ms: Vec<u128> = (0..10).map(|_| b.next_delay().as_millis()).collect();
+        assert_eq!(ms, [1, 2, 4, 8, 16, 32, 64, 100, 100, 100]);
+        b.reset();
+        assert_eq!(b.next_delay(), Duration::from_millis(1));
+        assert_eq!(b.next_delay(), Duration::from_millis(2));
+    }
 
     #[test]
     fn heads_parse_incrementally_and_identically() {

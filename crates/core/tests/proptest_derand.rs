@@ -30,9 +30,20 @@ fn assert_identical(g: &Graph, cap: u32, ctx: &str) {
         optimized.per_phase_fraction, reference.per_phase_fraction,
         "{ctx}: per-phase fractions diverged"
     );
-    // And the engine's parallel path matches its own sequential path.
-    let seq = derandomized_decomposition_threads(g, cap, 1);
-    assert_eq!(seq.decomposition, optimized.decomposition, "{ctx}: threads");
+    // And the engine's parallel schedules (work stealing, node-range
+    // ownership, pipelined carve) match the sequential default entry.
+    for threads in [2, 3] {
+        let par = derandomized_decomposition_threads(g, cap, threads);
+        assert_eq!(
+            par.decomposition, optimized.decomposition,
+            "{ctx}: threads={threads}"
+        );
+        assert_eq!(par.phases, optimized.phases, "{ctx}: threads={threads}");
+        assert_eq!(
+            par.per_phase_fraction, optimized.per_phase_fraction,
+            "{ctx}: threads={threads}"
+        );
+    }
 }
 
 proptest! {
